@@ -39,10 +39,23 @@ def _fmt(value, as_float=False) -> str:
     if value is False:
         return "no"
     if isinstance(value, Fraction):
-        return format_float(value) if as_float else str(value)
+        return format_float(value) if as_float else _exact_str(value)
     if isinstance(value, float):
         return format_float(value)
     return str(value)
+
+
+def _exact_str(value: Fraction) -> str:
+    """str() past the int-to-str digit limit; runs on the main thread only."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return str(value)
+    finally:
+        set_limit(limit)
 
 
 def _emit(rows, columns, fmt, out):
@@ -68,7 +81,11 @@ def _emit(rows, columns, fmt, out):
 def _parse_order(text):
     if text in ("inf", "infinity", "oo"):
         return INFINITE_ORDER
-    return int(text)  # ValueError on malformed input maps to exit 2
+    return int(text)  # argparse reports a ValueError as a malformed argument
+
+
+def _parse_ints(text):
+    return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
 def _map(fn, items, workers):
@@ -82,14 +99,14 @@ def _map(fn, items, workers):
 
 def _cmd_chi(args, out):
     pair = load_pair(args.pair)
-    value = orbifold.chi_k(pair, _require_int_order(args.k), numeric=args.float)
+    value = orbifold.chi_k(pair, _finite(args.k), numeric=args.float)
     _emit([{"chi": _fmt(value, args.float)}], ["chi"], args.format, out)
     return 0
 
 
 def _cmd_leading(args, out):
     pair = load_pair(args.pair)
-    report = orbifold.chi_leading_term(pair, _require_int_order(args.k))
+    report = orbifold.chi_leading_term(pair, _finite(args.k))
     row = {"k": str(report.k),
            "chi": _fmt(report.chi, args.float),
            "leading_scale": _fmt(report.leading_scale, args.float),
@@ -102,14 +119,14 @@ def _cmd_leading(args, out):
 
 def _cmd_segre(args, out):
     pair = load_pair(args.pair)
-    cls = orbifold.cotangent_segre(pair, _require_int_order(args.k))
+    cls = orbifold.cotangent_segre(pair, _finite(args.k))
     _emit([{"segre": str(cls)}], ["segre"], args.format, out)
     return 0
 
 
 def _cmd_canonical(args, out):
     pair = load_pair(args.pair)
-    cls, positive = orbifold.canonical_k(pair, _parse_order(args.k))
+    cls, positive = orbifold.canonical_k(pair, args.k)
     row = {"class": str(cls),
            "positive": "unknown" if positive is None else _fmt(positive)}
     _emit([row], ["class", "positive"], args.format, out)
@@ -168,31 +185,29 @@ def _cmd_lines(args, out):
     return 0
 
 
-def _one_k3_row(m, as_float):
+def _k3_values(m):
     cm = thresholds.k3_coefficient(m)
-    ratio = thresholds.k3_ratio_bound(m) if cm > 0 else None
-    return {"m": str(m), "coefficient": _fmt(cm, as_float), "ratio": _fmt(ratio)}
+    return cm, thresholds.k3_ratio_bound(m) if cm > 0 else None
 
 
 def _cmd_k3scan(args, out):
     ms = list(range(2, args.m_max + 1))
-    rows = _map(lambda m: _one_k3_row(m, args.float), ms, args.parallel)
+    rows = [{"m": str(m), "coefficient": _fmt(cm, args.float), "ratio": _fmt(ratio)}
+            for m, (cm, ratio) in zip(ms, _map(_k3_values, ms, args.parallel))]
     _emit(rows, ["m", "coefficient", "ratio"], args.format, out)
     return 0
 
 
 def _cmd_gysin(args, out):
-    lam = [int(p) for p in args.lam.split(",") if p.strip() != ""]
-    data = jump_data(args.n, lam)
-    kappa = gysin_coefficient(args.n, lam)
+    data = jump_data(args.n, args.lam)
+    kappa = gysin_coefficient(args.n, args.lam)
     row = {"defect": str(data.defect), "coefficient": _fmt(kappa, args.float)}
     _emit([row], ["defect", "coefficient"], args.format, out)
     return 0
 
 
 def _cmd_pieri(args, out):
-    degrees = [int(p) for p in args.degrees.split(",") if p.strip() != ""]
-    expansion = decompose_sym_tensor(degrees)
+    expansion = decompose_sym_tensor(args.degrees)
     rows = [{"multiplicity": str(mult),
              "parts": " ".join(str(p) for p in lam.parts) or "0"}
             for lam, mult in expansion.sorted_terms()]
@@ -203,7 +218,7 @@ def _cmd_pieri(args, out):
 def _cmd_summands(args, out):
     pair = load_pair(args.pair)
     rows = []
-    for ell, factors in graded_summands(pair, _require_int_order(args.k), args.N):
+    for ell, factors in graded_summands(pair, _finite(args.k), args.N):
         label = " ".join(str(v) for v in ell)
         if factors:
             text = " (x) ".join("S^%d Omega(%d)" % (lj, j) for j, lj, _ in factors)
@@ -218,9 +233,7 @@ def _cmd_summands(args, out):
     return 0
 
 
-def _require_int_order(k):
-    if not isinstance(k, int):
-        k = _parse_order(k)
+def _finite(k):
     if k is INFINITE_ORDER:
         raise DomainError("this command needs a finite order")
     return k
@@ -243,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pair", required=True, metavar="FILE",
                            help="JSON pair description")
         if k:
-            p.add_argument("--k", required=True, help="jet order")
+            p.add_argument("--k", required=True, type=_parse_order, help="jet order")
 
     p = sub.add_parser("chi", help="Euler-characteristic coefficient chi_k")
     common(p, pair=True, k=True)
@@ -284,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gysin", help="flag-bundle Gysin coefficient")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True,
+    p.add_argument("--lambda", dest="lam", required=True, type=_parse_ints,
                    help="partition, e.g. 2,2,1")
     p.set_defaults(fn=_cmd_gysin)
 
     p = sub.add_parser("pieri", help="Schur decomposition of Sym powers")
     common(p)
-    p.add_argument("--degrees", required=True, help="e.g. 2,1")
+    p.add_argument("--degrees", required=True, type=_parse_ints, help="e.g. 2,1")
     p.set_defaults(fn=_cmd_pieri)
 
     p = sub.add_parser("summands", help="graded jet-bundle summands")
@@ -314,15 +327,12 @@ def run(argv, out=None, err=None) -> int:
     except PairFormatError as exc:
         err.write("error: %s\n" % exc)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable pair file
         err.write("error: %s\n" % exc)
         return 2
     except OrbichernError as exc:
         err.write("error: %s\n" % exc)
         return 3
-    except ValueError as exc:
-        err.write("error: %s\n" % exc)
-        return 2
 
 
 def main():

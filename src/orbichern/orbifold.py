@@ -9,12 +9,17 @@ product
     c(Omega^(k)) = c(Omega_X) * prod_{m_i > k} (1 - (k/m_i) D_i) / (1 - D_i),
 
 with the division meaning the truncated geometric-series inverse.  Segre
-classes are the inverses of these, and the order-k Euler-characteristic
-coefficient is
+classes are the inverses of these, and chi_k is (-1)^n times the integral of
+prod_{j=1..k} s(Omega^(j))(t/j), the j-th factor's degree-q part weighted by
+j^-q: the truncated exp of the summed logs, as positive degrees are
+nilpotent.  Under t -> t/j, (1 - (j/m_i) D_i) becomes (1 - D_i/m_i), and
+between breakpoints ceil(m_i) the surviving components are fixed, so on
+such an interval [a, b], with [.]_q the degree-q part,
 
-    chi_k = (-1)^n * integral of the degree-n part of
-            prod_{j=1..k} s(Omega^(j)) with the degree-q part of the j-th
-            factor weighted by j^(-q).
+    sum_{j=a..b} log s^(j)(t/j) = (b - a + 1) L0 + sum_q H^(q)(a..b) [Lv]_q,
+
+L0 = -sum_surviving log(1 - D_i/m_i), Lv = log(prod_surviving (1 - D_i) /
+c(Omega_X)), H^(q)(a..b) = sum_{j=a..b} j^-q; O(n) ring work per interval.
 
 All values are reported per unit covering degree: classes live on the base,
 never on an adapted cover, so rational coefficients are allowed and any
@@ -179,31 +184,14 @@ def canonical_k(pair: OrbifoldPair, k):
 
 # -- the Euler-characteristic coefficient -------------------------------------
 
-def _segre_profile(pair: OrbifoldPair, k: int, numeric: bool):
-    """Distinct per-order Segre classes: a dict for orders below the
-    stabilization order, plus the stabilized (logarithmic) class when it
-    is reached within the first k orders."""
-    j_star = pair.stabilization_order()
-    distinct = {}
-    for j in range(1, min(k, j_star - 1) + 1):
-        s = cotangent_segre(pair, j)
-        distinct[j] = s.map_coefficients(float) if numeric else s
-    stable = None
-    if k >= j_star:
-        stable = cotangent_segre(pair.logarithmic_part(), 1)
-        if numeric:
-            stable = stable.map_coefficients(float)
-    return distinct, j_star, stable
-
-
 def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
     """Order-k Euler-characteristic coefficient (exact by default).
 
-    Exact evaluation is limited to k <= EXACT_ORDER_LIMIT; pass numeric=True
-    for a binary64 evaluation without that limit.  For surfaces the double
-    sum over Segre components collapses to prefix sums, so the cost is O(k)
-    scalar work; in higher dimension the truncated-class product is taken
-    order by order.
+    The module docstring's interval sums, regrouped by component; ring work
+    does not depend on k.  c(Omega_X) adds -sum_q H_k^(q) [log c(Omega_X)]_q;
+    component i, alive at orders 1..J_i = min(k, ceil(m_i) - 1), adds
+    sum_r D_i^r/r (J_i/m_i^r - H_J_i^(r)).  Exact needs k <= EXACT_ORDER_LIMIT;
+    numeric=True rounds only its binary64 harmonic sums and the result.
     """
     _check_order(k)
     if k is INFINITE_ORDER:
@@ -212,47 +200,35 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
         raise DomainError(
             "exact evaluation is limited to k <= %d; use numeric=True"
             % EXACT_ORDER_LIMIT)
-    n = pair.geometry.dim
-    distinct, j_star, stable = _segre_profile(pair, k, numeric)
-    if n == 2:
-        return _chi_surface(pair, k, distinct, j_star, stable, numeric)
-    sign = -1 if n % 2 else 1
-    product = pair.geometry.one()
-    if numeric:
-        product = product.map_coefficients(float)
-    for j in range(1, k + 1):
-        s = distinct.get(j, stable)
-        t = 1.0 / j if numeric else Fraction(1, j)
-        product = product * s.scale_degrees(t)
-    return sign * product.integrate()
+    geom, n = pair.geometry, pair.geometry.dim
+    lasts = [k if c.multiplicity.is_infinite
+             else min(k, math.ceil(c.multiplicity.value) - 1)
+             for c in pair.components]
+    prefix, prev = {0: [0] * n}, 0  # prefix[J][q - 1] = H^(q)(1..J)
+    for last in sorted(set(lasts) | {k}):  # one range per interval
+        prefix[last] = [h + Fraction(harmonic_range(prev + 1, last, q, not numeric))
+                        for q, h in enumerate(prefix[prev], 1)]
+        prev = last
+    log_c = _series(geom.tangent_chern.dual() - 1,  # constant term 1
+                    [Fraction((-1) ** (r + 1), r) for r in range(1, n + 1)])
+    total = -sum((log_c.component(q) * h for q, h in enumerate(prefix[k], 1)),
+                 geom.zero())
+    for comp, last in zip(pair.components, lasts):
+        inv_m = comp.multiplicity.ratio(1)  # 0 for a logarithmic component
+        weights = [(last * inv_m ** r - h) / r for r, h in enumerate(prefix[last], 1)]
+        total = total + _series(comp.divisor, weights)
+    value = _series(total, [Fraction(1, math.factorial(r))  # exp(total) - 1
+                            for r in range(1, n + 1)]).integrate() * (-1) ** n
+    return float(value) if numeric else value
 
 
-def _chi_surface(pair, k, distinct, j_star, stable, numeric):
-    # chi = sum_j s2^(j)/j^2 + sum_{j1<j2} (s1^(j1)/j1)(s1^(j2)/j2), and the
-    # pair sum is (A^2 - Q)/2 with A, Q accumulated in one pass; orders past
-    # the stabilization point contribute through harmonic ranges only.
-    zero = 0.0 if numeric else Fraction(0)
-    A = pair.geometry.zero()
-    if numeric:
-        A = A.map_coefficients(float)
-    B = zero
-    Q = zero
-    for j in sorted(distinct):
-        s = distinct[j]
-        a = s.component(1)
-        w = 1.0 / j if numeric else Fraction(1, j)
-        A = A + a * w
-        B = B + s.component(2).integrate() * w * w
-        Q = Q + (a * a).integrate() * w * w
-    if k >= j_star:
-        h1 = harmonic_range(j_star, k, 1, exact=not numeric)
-        h2 = harmonic_range(j_star, k, 2, exact=not numeric)
-        a_inf = stable.component(1)
-        A = A + a_inf * h1
-        B = B + stable.component(2).integrate() * h2
-        Q = Q + (a_inf * a_inf).integrate() * h2
-    pair_sum = ((A * A).integrate() - Q) / 2
-    return B + pair_sum
+def _series(u: GradedClass, coefficients) -> GradedClass:
+    """sum_r coefficients[r - 1] u^r, e.g. log(1 + u) or exp(u) - 1."""
+    out, power = u.geometry.zero(), u.geometry.one()
+    for c in coefficients:
+        power = power * u
+        out = out + power * c
+    return out
 
 
 def leading_scale(n: int, k: int) -> Fraction:

@@ -18,8 +18,6 @@ from fractions import Fraction
 
 from .errors import DomainError, GeometryMismatch, NonUnitError
 
-Rat = Fraction
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
@@ -252,7 +250,7 @@ class GradedClass:
 
     def __mul__(self, other):
         if not isinstance(other, GradedClass):
-            c = other if isinstance(other, float) else _as_fraction(other)
+            c = _as_fraction(other)
             return GradedClass(self.geometry,
                                {e: v * c for e, v in self.coeffs.items()})
         self._check_same_geometry(other)
@@ -322,9 +320,6 @@ class GradedClass:
         geom = self.geometry
         return GradedClass(geom, {e: c * t ** geom._degree_of(e)
                                   for e, c in self.coeffs.items()})
-
-    def map_coefficients(self, fn) -> "GradedClass":
-        return GradedClass(self.geometry, {e: fn(c) for e, c in self.coeffs.items()})
 
     def dual(self) -> "GradedClass":
         """Total Chern class of the dual bundle: degree-q part times (-1)^q."""

@@ -1,9 +1,12 @@
 import io
 import json
+import sys
 
 import pytest
 
 from orbichern.cli import run
+from orbichern.orbifold import OrbifoldPair, chi_k
+from orbichern.ring import projective_space
 
 P2_PAIR = ('{"geometry": {"preset": "P2"},'
            ' "components": [{"degree": 12, "mult": "107"}]}')
@@ -152,6 +155,44 @@ def test_exactness_threshold_needs_float_flag(abelian_file):
                            "--float"])
     assert code == 0
     assert float(out) != 0
+
+
+def test_exact_chi_prints_past_int_digit_limit(p2_file):
+    # from k = 4967 on, the exact value has more digits than Python's default
+    # int-to-str limit; the CLI lifts it for formatting only, then restores it
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    code, out, err = invoke(["chi", "--pair", p2_file, "--k", "10000"])
+    assert code == 0, err
+    geom = projective_space(2)
+    expected = chi_k(OrbifoldPair(geom, [(geom.generator("h") * 12, 107)]),
+                     10_000)
+    if get_limit is None:
+        assert out.strip() == str(expected)
+        return
+    assert get_limit() == before
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(out.strip()) > 4300 and out.strip() == str(expected)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--pair", "unused.json", "--k", "two"],
+    ["gysin", "--n", "3", "--lambda", "2,x"],
+    ["pieri", "--degrees", "1,,a"],
+])
+def test_exit_code_malformed_argument(argv):
+    code, _, _ = invoke(argv)
+    assert code == 2
+
+
+def test_exit_code_pair_file_not_utf8(tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, _, err = invoke(["chi", "--pair", str(bad), "--k", "1"])
+    assert code == 2 and "utf-8" in err
 
 
 def test_formats_carry_identical_content(p2_file):

@@ -392,3 +392,86 @@ def test_closed_form_preconditions():
     pair = OrbifoldPair(geom, [(geom.generator("D"), 3)])
     with pytest.raises(DomainError):  # canonical class pairs nontrivially
         chi_trivial_canonical_closed_form(pair, 5)
+
+
+# -- cross-path matrix: the interval chi against independent derivations --------
+
+def per_order_chi(pair, k):
+    """Slow reference: the product of s^(j)(t/j) over j = 1..k, one
+    cotangent_segre inverse and one ring product per order."""
+    product = pair.geometry.one()
+    for j in range(1, k + 1):
+        product = product * cotangent_segre(pair, j).scale_degrees(F(1, j))
+    return (-1) ** pair.geometry.dim * product.integrate()
+
+
+MATRIX_GEOMETRIES = {
+    "P1": projective_space(1),
+    "P2": projective_space(2),
+    "P3": projective_space(3),
+    "P4": projective_space(4),
+    "abelian2": abelian_variety(2, selfint=6),
+    "abelian3": abelian_variety(3, selfint=4),
+    "abelian-two-gen": abelian_variety(2, names=["D1", "D2"],
+                                       pairing=[[2, 1], [1, 2]]),
+    "surface-two-div": surface_with_invariants(
+        c2=24, divisors=["D", "E"], kk=1, kd=[1, 0], dd=[[6, 1], [1, -2]]),
+}
+MATRIX_MULTIPLICITIES = [1, 2, 3, F(5, 2), F(7, 3), 4, 6, "inf", "inf"]
+
+
+def random_pairs(geom, rng, count):
+    gens = [geom.generator(name) for name, deg in geom.generators if deg == 1]
+    for _ in range(count):
+        components = []
+        for _ in range(rng.randint(1, 3)):
+            divisor = geom.zero()
+            for g in gens:
+                divisor = divisor + g * rng.randint(0, 3)
+            components.append((divisor, rng.choice(MATRIX_MULTIPLICITIES)))
+        yield OrbifoldPair(geom, components)
+
+
+def matrix_orders(pair):
+    """k = ceil(m) - 1, ceil(m), ceil(m) + 1 for every finite m, and two
+    orders past stabilization."""
+    ks = {pair.stabilization_order() + 2, pair.stabilization_order() + 5}
+    for comp in pair.components:
+        if not comp.multiplicity.is_infinite:
+            top = math.ceil(comp.multiplicity.value)
+            ks.update(k for k in (top - 1, top, top + 1) if k >= 1)
+    return sorted(ks)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_GEOMETRIES))
+def test_chi_matches_per_order_product(name):
+    rng = random.Random("chi-matrix/" + name)
+    for pair in random_pairs(MATRIX_GEOMETRIES[name], rng, 6):
+        for k in matrix_orders(pair):
+            assert chi_k(pair, k) == per_order_chi(pair, k), (pair.components, k)
+
+
+@pytest.mark.parametrize("k", [5, 50, 500, 2000])
+def test_chi_matches_closed_form_at_large_orders(k):
+    k3_like = surface_with_invariants(c2=24, divisors=["D"], dd=[[6]])
+    two_gen = abelian_variety(2, names=["D1", "D2"], pairing=[[2, 1], [1, 2]])
+    pairs = [
+        OrbifoldPair(k3_like, [(k3_like.generator("D"), 5)]),
+        OrbifoldPair(two_gen, [(two_gen.generator("D1"), 2),
+                               (two_gen.generator("D2"), 5),
+                               (two_gen.generator("D1"), "inf")]),
+    ]
+    for pair in pairs:
+        assert chi_k(pair, k) == chi_trivial_canonical_closed_form(pair, k)
+
+
+@pytest.mark.parametrize("k", [10 ** 3, 10 ** 4])
+def test_chi_numeric_matches_exact_at_large_orders(k):
+    p3 = projective_space(3)
+    h = p3.generator("h")
+    for pair in (plane_pair((12, 107)), plane_pair((5, "inf")),
+                 plane_pair((12, 10_000)),
+                 OrbifoldPair(p3, [(h * 5, 3001), (h * 2, "inf")])):
+        exact = chi_k(pair, k)
+        approx = chi_k(pair, k, numeric=True)
+        assert abs(F(approx) - exact) <= F(1, 10 ** 12) * abs(exact)
