@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -187,7 +188,7 @@ def _cmd_lines(args, out):
 
 def _k3_values(m):
     cm = thresholds.k3_coefficient(m)
-    return cm, thresholds.k3_ratio_bound(m) if cm > 0 else None
+    return cm, thresholds._ratio_bound(m, cm) if cm > 0 else None
 
 
 def _cmd_k3scan(args, out):
@@ -217,18 +218,24 @@ def _cmd_pieri(args, out):
 
 def _cmd_summands(args, out):
     pair = load_pair(args.pair)
+    names = {}   # (j, l_j) -> "S^l_j Omega(j)"
+    orders = {}  # j -> "order j: <coefficient profile>"
     rows = []
     for ell, factors in graded_summands(pair, _finite(args.k), args.N):
-        label = " ".join(str(v) for v in ell)
         if factors:
-            text = " (x) ".join("S^%d Omega(%d)" % (lj, j) for j, lj, _ in factors)
-            coeffs = "; ".join(
-                "order %d: %s" % (j, " ".join(str(t.coefficient) for t in profile))
-                for j, _, profile in factors)
+            for j, lj, profile in factors:
+                if (j, lj) not in names:
+                    names[j, lj] = "S^%d Omega(%d)" % (lj, j)
+                if j not in orders:
+                    orders[j] = "order %d: %s" % (
+                        j, " ".join(str(t.coefficient) for t in profile))
+            text = " (x) ".join([names[j, lj] for j, lj, _ in factors])
+            coeffs = "; ".join([orders[j] for j, _, _ in factors])
         else:
             text = "trivial"
             coeffs = "-"
-        rows.append({"l": label, "summand": text, "coefficients": coeffs})
+        rows.append({"l": " ".join(map(str, ell)), "summand": text,
+                     "coefficients": coeffs})
     _emit(rows, ["l", "summand", "coefficients"], args.format, out)
     return 0
 
@@ -319,7 +326,8 @@ def run(argv, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(out), redirect_stderr(err):  # usage, --help
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -3,6 +3,9 @@
 Products of symmetric powers decompose into Schur functors by iterated Pieri
 multiplication (adding horizontal strips); full Littlewood-Richardson is
 never needed here because every tensor factor in scope is a symmetric power.
+A Pieri step enumerates each strip directly as a vector of bounded row
+increments, on plain tuples, so its cost is proportional to the number of
+(term, strip) pairs; each distinct output becomes a `Partition` once.
 The classical Weyl product formula supplies dimensions as an independent
 cross-check on the decompositions.
 """
@@ -15,12 +18,19 @@ from .errors import DomainError
 from .orbifold import OrbifoldPair, delta_k
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Partition:
     """A weakly decreasing tuple of positive integers; () is trivial."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
+        parts = tuple(parts)
+        if not all(map(_is_int, parts)):
+            raise DomainError("parts must be integers, got %r" % (parts,))
         parts = tuple(int(p) for p in parts if p != 0)
         for i, p in enumerate(parts):
             if p < 1:
@@ -28,6 +38,14 @@ class Partition:
             if i and parts[i - 1] < p:
                 raise DomainError("parts must be weakly decreasing: %s" % (parts,))
         self.parts = parts
+
+    @classmethod
+    def _trusted(cls, parts: tuple) -> "Partition":
+        """A Partition of parts already known to be a valid, zero-free,
+        weakly decreasing tuple of ints; skips the checks."""
+        lam = object.__new__(cls)
+        lam.parts = parts
+        return lam
 
     @property
     def weight(self) -> int:
@@ -55,24 +73,49 @@ class Partition:
         return "Partition(%s)" % (self.parts,)
 
 
-def _horizontal_strips(parts: tuple, m: int):
+def _horizontal_strips(parts: tuple, m: int) -> list:
     """All partitions mu >= parts with mu/parts a horizontal strip of m boxes
-    (at most one added box per column, so rows interlace)."""
-    rows = len(parts) + 1
-    out = []
-    prefix = [0] * rows
+    (at most one added box per column, so rows interlace), as plain tuples.
 
-    def rec(i, remaining):
-        if i == rows:
-            if remaining == 0:
-                out.append(tuple(v for v in prefix if v))
-            return
-        lo = parts[i] if i < len(parts) else 0
-        hi = lo + remaining if i == 0 else min(parts[i - 1], lo + remaining)
-        for v in range(lo, hi + 1):
-            prefix[i] = v
-            rec(i + 1, remaining - (v - lo))
-        prefix[i] = 0
+    A strip is a vector of row increments e_i summing to m: e_0 is free,
+    e_i <= parts[i-1] - parts[i] for the rows below the first, and a new
+    last row takes e_n <= parts[-1] boxes.  Rows whose bound is 0 are
+    skipped.  Each loop starts at max(0, rem - room), where room is what the
+    rows after it can still take, so every branch ends in a strip and the
+    new row simply takes what is left: the cost is proportional to the
+    number of strips returned.
+    """
+    if not m:
+        return [parts]
+    if not parts:
+        return [(m,)]
+    active, caps = [0], [m]  # the rows that can grow, and their bounds
+    for i in range(1, len(parts)):
+        if parts[i - 1] > parts[i]:
+            active.append(i)
+            caps.append(parts[i - 1] - parts[i])
+    room = [parts[-1]] * len(active)  # what the rows after active[s] take
+    for s in range(len(active) - 2, -1, -1):
+        room[s] = room[s + 1] + caps[s + 1]
+    last = len(active) - 1
+    mu = list(parts)
+    out = []
+    append = out.append
+
+    def rec(s, rem):
+        i = active[s]
+        base = parts[i]
+        lo, hi = rem - room[s], caps[s]
+        span = range(lo if lo > 0 else 0, (hi if hi < rem else rem) + 1)
+        if s == last:
+            for e in span:
+                mu[i] = base + e
+                append(tuple(mu) + (rem - e,) if e < rem else tuple(mu))
+        else:
+            for e in span:
+                mu[i] = base + e
+                rec(s + 1, rem - e)
+        mu[i] = base
 
     rec(0, m)
     return out
@@ -88,6 +131,9 @@ class SchurExpansion:
         for lam, mult in (terms or {}).items():
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
+            if not _is_int(mult):
+                raise DomainError("multiplicities must be integers, got %r"
+                                  % (mult,))
             if mult < 0:
                 raise DomainError("multiplicities must be nonnegative")
             if mult:
@@ -127,14 +173,16 @@ class SchurExpansion:
 def pieri_multiply(expansion: SchurExpansion, m: int) -> SchurExpansion:
     """Multiply by the m-th complete homogeneous functor (a horizontal
     strip of m boxes on every term), multiplicities accumulated exactly."""
-    if m < 0:
-        raise DomainError("strip size must be nonnegative")
+    if not _is_int(m) or m < 0:
+        raise DomainError("strip size must be a nonnegative integer, got %r"
+                          % (m,))
     out = {}
+    get = out.get
     for lam, mult in expansion.items():
         for mu in _horizontal_strips(lam.parts, m):
-            key = Partition(mu)
-            out[key] = out.get(key, 0) + mult
-    return SchurExpansion(out)
+            out[mu] = get(mu, 0) + mult
+    return SchurExpansion({Partition._trusted(mu): mult
+                           for mu, mult in out.items()})
 
 
 def decompose_sym_tensor(degrees) -> SchurExpansion:

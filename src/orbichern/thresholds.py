@@ -193,7 +193,11 @@ def k3_coefficient(m: int) -> Fraction:
 def k3_ratio_bound(m: int) -> float:
     """pi^2 / (6 c_m) in binary64; the c2 budget a single component of
     multiplicity m must dominate."""
-    cm = k3_coefficient(m)
+    return _ratio_bound(m, k3_coefficient(m))
+
+
+def _ratio_bound(m: int, cm: Fraction) -> float:
+    """k3_ratio_bound(m) from its coefficient cm = k3_coefficient(m)."""
     if cm <= 0:
         raise DomainError("ratio undefined: coefficient is not positive at m=%d" % m)
     return math.pi ** 2 / (6 * float(cm))

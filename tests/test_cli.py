@@ -99,6 +99,16 @@ def test_summands_command(p2_file):
     rows = [json.loads(line) for line in out.splitlines()]
     assert rows[0]["l"] == "2 0" and rows[1]["l"] == "0 1"
     assert "105/107" in rows[1]["coefficients"]
+    # orders and factors shared between rows print the same text in each
+    code, out, _ = invoke(["summands", "--pair", p2_file, "--k", "2",
+                           "--N", "4", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines() == [
+        "l,summand,coefficients",
+        "4 0,S^4 Omega(1),order 1: 106/107",
+        "2 1,S^2 Omega(1) (x) S^1 Omega(2),order 1: 106/107; order 2: 105/107",
+        "0 2,S^2 Omega(2),order 2: 105/107",
+    ]
 
 
 def test_minmult_no_solution():
@@ -184,8 +194,14 @@ def test_exact_chi_prints_past_int_digit_limit(p2_file):
     ["pieri", "--degrees", "1,,a"],
 ])
 def test_exit_code_malformed_argument(argv):
-    code, _, _ = invoke(argv)
+    code, out, err = invoke(argv)
     assert code == 2
+    assert out == "" and argv[-2] in err  # usage error goes to run's err
+
+
+def test_help_goes_to_out():
+    code, out, err = invoke(["pieri", "--help"])
+    assert code == 0 and "--degrees" in out and err == ""
 
 
 def test_exit_code_pair_file_not_utf8(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from orbichern.errors import DomainError
 from orbichern.orbifold import OrbifoldPair
 from orbichern.partitions import (Partition, SchurExpansion,
+                                  _horizontal_strips,
                                   decompose_sym_tensor, graded_summands,
                                   pieri_multiply, schur_dimension,
                                   weighted_vectors)
@@ -51,6 +53,39 @@ SAMPLE_POINTS = [
 ]
 
 
+def all_partitions(weight, largest=None):
+    """Every partition of weight as a tuple, parts <= largest."""
+    if weight == 0:
+        yield ()
+        return
+    for p in range(min(weight, largest or weight), 0, -1):
+        for rest in all_partitions(weight - p, p):
+            yield (p,) + rest
+
+
+def reference_strips(parts, m):
+    """Slow reference for _horizontal_strips: recurse row by row over every
+    row length that interlaces with parts, keep the leaves with 0 left."""
+    rows = len(parts) + 1
+    out = []
+    prefix = [0] * rows
+
+    def rec(i, remaining):
+        if i == rows:
+            if remaining == 0:
+                out.append(tuple(v for v in prefix if v))
+            return
+        lo = parts[i] if i < len(parts) else 0
+        hi = lo + remaining if i == 0 else min(parts[i - 1], lo + remaining)
+        for v in range(lo, hi + 1):
+            prefix[i] = v
+            rec(i + 1, remaining - (v - lo))
+        prefix[i] = 0
+
+    rec(0, m)
+    return out
+
+
 def partitions_into_parts_leq(n, k):
     """Coefficient of q^n in prod_{j<=k} 1/(1-q^j), by the standard DP."""
     dp = [1] + [0] * n
@@ -70,6 +105,25 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(DomainError):
         Partition((2, -1))
+
+
+@pytest.mark.parametrize("parts", [
+    (2.5, 1), (2.0,), (True, True), (3, False), ("2", "1"), (F(2), 1)])
+def test_partition_rejects_non_integral_parts(parts):
+    with pytest.raises(DomainError):
+        Partition(parts)
+
+
+@pytest.mark.parametrize("mult", [1.7, 2.0, True, F(3), "1"])
+def test_expansion_rejects_non_integral_multiplicities(mult):
+    with pytest.raises(DomainError):
+        SchurExpansion({(2, 1): mult})
+
+
+@pytest.mark.parametrize("degrees", [[2.0, 1], [True, 1], [-1]])
+def test_decompose_rejects_non_integral_degrees(degrees):
+    with pytest.raises(DomainError):
+        decompose_sym_tensor(degrees)
 
 
 def test_partition_serialization():
@@ -127,6 +181,41 @@ def test_decompose_random_against_bialternant():
             for a in degrees:
                 lhs *= schur_value((a,), xs)
             assert lhs == expansion_value(out, xs)
+
+
+def test_strips_match_reference_exhaustively():
+    cases = 0
+    for weight in range(13):
+        for parts in all_partitions(weight):
+            for m in range(8):
+                strips = _horizontal_strips(parts, m)
+                assert len(set(strips)) == len(strips)
+                assert set(strips) == set(reference_strips(parts, m))
+                cases += 1
+    assert cases == 8 * sum(partitions_into_parts_leq(w, w) for w in range(13))
+
+
+def test_pieri_outputs_are_valid_partitions():
+    out = decompose_sym_tensor([3, 2, 2])
+    for lam, mult in out.items():
+        assert type(lam) is Partition and lam == Partition(lam.parts)
+        assert type(mult) is int and mult > 0
+
+
+@pytest.mark.parametrize("degrees", [[6] * 6, [4] * 8, [8, 7, 6, 5, 4, 3, 2, 1]])
+def test_dimension_identity_at_benchmark_sizes(degrees):
+    p = len(degrees)
+    out = decompose_sym_tensor(degrees)
+    total = sum(mult * schur_dimension(lam, p) for lam, mult in out.items())
+    assert total == math.prod(math.comb(a + p - 1, p - 1) for a in degrees)
+
+
+def test_decompose_order_independent_at_benchmark_size():
+    degrees = [8, 7, 6, 5, 4, 3, 2, 1]
+    shuffled = degrees[:]
+    random.Random(8).shuffle(shuffled)
+    assert shuffled != degrees
+    assert decompose_sym_tensor(shuffled) == decompose_sym_tensor(degrees)
 
 
 def test_decompose_is_order_independent():
