@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -91,6 +90,7 @@ def _parse_ints(text):
 
 def _map(fn, items, workers):
     if workers and workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

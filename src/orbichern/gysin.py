@@ -21,9 +21,9 @@ callers should rely on vanishing and magnitude only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import DomainError
 from .partitions import Partition
@@ -32,8 +32,7 @@ from .partitions import Partition
 MAX_DIMENSION = 6
 
 
-@dataclass(frozen=True)
-class JumpData:
+class JumpData(NamedTuple):
     """Padded partition, its descent positions and the degree defect."""
     n: int
     padded: tuple

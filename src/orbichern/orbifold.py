@@ -29,7 +29,6 @@ overall covering-degree factor is dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -53,8 +52,7 @@ class DeltaTerm(NamedTuple):
     surviving: bool
 
 
-@dataclass(frozen=True)
-class ChiReport:
+class ChiReport(NamedTuple):
     """chi_k together with its Riemann-Roch scale and a positivity verdict.
 
     `leading_scale` is 1/((k!)^n ((k+1)n - 1)!) exactly;

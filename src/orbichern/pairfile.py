@@ -38,6 +38,8 @@ from .ring import (Geometry, Multiplicity, abelian_variety, projective_space,
 
 def _rational(value, where):
     try:
+        if isinstance(value, bool):
+            raise TypeError("booleans are not numbers")
         if isinstance(value, float):
             raise ValueError("floats are not exact")
         return Fraction(value)
@@ -47,42 +49,79 @@ def _rational(value, where):
 
 def _multiplicity(value, where):
     try:
+        if isinstance(value, (bool, float)):
+            raise TypeError("expected a string or an integer")
         return Multiplicity.parse(value)
     except Exception as exc:
         raise PairFormatError("%s: bad multiplicity %r (%s)" % (where, value, exc))
 
 
+def _positive_int(value, where):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise PairFormatError("%s: need a positive integer" % where)
+    return value
+
+
+def _names(value, where):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise PairFormatError("%s: expected a list of names" % where)
+    if len(set(value)) != len(value):
+        raise PairFormatError("%s: names must be distinct" % where)
+    return value
+
+
+def _vector(value, size, where):
+    if not isinstance(value, list) or len(value) != size:
+        raise PairFormatError("%s: expected a list of %d rationals" % (where, size))
+    return [_rational(v, where) for v in value]
+
+
+def _matrix(value, size, where):
+    """A size x size list of lists of rationals; size None means any side."""
+    if size is None and isinstance(value, list):
+        size = len(value)
+    if not isinstance(value, list) or len(value) != size or not all(
+            isinstance(row, list) and len(row) == size for row in value):
+        shape = "square" if size is None else "%d x %d" % (size, size)
+        raise PairFormatError("%s: expected a %s matrix" % (where, shape))
+    return [[_rational(v, where) for v in row] for row in value]
+
+
 def parse_geometry(data) -> Geometry:
+    """Check the types and shapes of a geometry object, then build it.
+
+    Malformed fields raise PairFormatError naming the field before any
+    preset constructor runs; the constructors decide the rest (symmetry of
+    the intersection matrices, reserved names, dimension limits).
+    """
     if not isinstance(data, dict) or "preset" not in data:
         raise PairFormatError("geometry: expected an object with a preset")
     preset = data["preset"]
     if preset == "P2":
         return projective_space(2)
     if preset == "Pn":
-        n = data.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise PairFormatError("geometry.n: need a positive integer")
-        return projective_space(n)
+        return projective_space(_positive_int(data.get("n"), "geometry.n"))
     if preset == "abelian":
-        n = data.get("n")
-        if not isinstance(n, int) or n < 1:
-            raise PairFormatError("geometry.n: need a positive integer")
+        n = _positive_int(data.get("n"), "geometry.n")
         if "selfint" in data:
             return abelian_variety(n, selfint=_rational(data["selfint"],
                                                         "geometry.selfint"))
         if "pairing" in data:
-            pairing = [[_rational(v, "geometry.pairing") for v in row]
-                       for row in data["pairing"]]
-            return abelian_variety(n, names=data.get("generators"),
-                                   pairing=pairing)
+            names = data.get("generators")
+            if names is not None:
+                names = _names(names, "geometry.generators")
+            pairing = _matrix(data["pairing"],
+                              None if names is None else len(names),
+                              "geometry.pairing")
+            return abelian_variety(n, names=names, pairing=pairing)
         raise PairFormatError("geometry: abelian preset needs selfint or pairing")
     if preset == "surface":
         if "divisors" not in data:
             raise PairFormatError("geometry.divisors: required for surfaces")
-        divisors = list(data["divisors"])
-        kd = [_rational(v, "geometry.kd") for v in data.get("kd", [0] * len(divisors))]
-        dd = [[_rational(v, "geometry.dd") for v in row]
-              for row in data.get("dd", [[0] * len(divisors)] * len(divisors))]
+        divisors = _names(data["divisors"], "geometry.divisors")
+        r = len(divisors)
+        kd = _vector(data.get("kd", [0] * r), r, "geometry.kd")
+        dd = _matrix(data.get("dd", [[0] * r] * r), r, "geometry.dd")
         return surface_with_invariants(
             c2=_rational(data.get("c2", 0), "geometry.c2"),
             divisors=divisors, kk=_rational(data.get("kk", 0), "geometry.kk"),
@@ -94,10 +133,8 @@ def _component_class(geom, entry, where):
     if geom.kind == "projective":
         if "degree" not in entry:
             raise PairFormatError("%s.degree: required on projective presets" % where)
-        d = entry["degree"]
-        if not isinstance(d, int) or d < 1:
-            raise PairFormatError("%s.degree: need a positive integer" % where)
-        return geom.generator("h") * d
+        return geom.generator("h") * _positive_int(entry["degree"],
+                                                   where + ".degree")
     cls_spec = entry.get("class")
     if cls_spec is None:
         if geom.kind == "abelian" and len(geom.names) == 1:

@@ -3,26 +3,32 @@
 Each search locates the smallest integer parameter for which a positivity
 predicate built from chi values holds.  Quadratic root bounds (via integer
 square roots, never floats) narrow the candidate window; the actual decisions
-are exact chi evaluations.
+are exact chi evaluations, each candidate's chi evaluated once.
+
+For a smooth plane curve of degree d and multiplicity a, 4 a^2 chi_2 is the
+integer quadratic f(a) = A a^2 + B a + C with A = 2d^2 - 27d + 48,
+B = -12d(d - 3), C = 12d^2.  At a = 2 it is 4A + 2B + C = -4d^2 - 36d + 192,
+negative for every d >= 4, while f(0) = C > 0.  For d >= 12, A > 0, so
+a = 2 lies between the roots and chi_2 > 0 exactly past the larger root; the
+search starts at the isqrt floor of that root, which never exceeds it.  For
+4 <= d <= 11, A < 0 and the larger root lies below 2, so no a >= 2 works.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .harmonic import diagonal_coefficient
+from .harmonic import diagonal_coefficient, harmonic_squares
 from .orbifold import OrbifoldPair, chi_k
 from .ring import projective_space
 
 _P2 = projective_space(2)
 
 
-@dataclass(frozen=True)
-class ThresholdRecord:
+class ThresholdRecord(NamedTuple):
     """(parameter, minimal value, chi at the minimum and just below it)."""
     parameter: int
     minimal_value: int
@@ -30,8 +36,7 @@ class ThresholdRecord:
     chi_below_min: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One cell of the minimal-ramification table: a range of degrees
     sharing the same minimal order.  d_hi is None for the unbounded range."""
     d_lo: int
@@ -62,45 +67,52 @@ def _order2_admissible(d: int, a: int) -> bool:
     return a * (d - 3) > 2 * d
 
 
-def _order2_predicate(d: int, a: int) -> bool:
-    return _order2_admissible(d, a) and _chi2(d, a) > 0
-
-
 def _chi2_quadratic(d: int):
     # 4 a^2 chi_2 = A a^2 + B a + C as integers.
     return 2 * d * d - 27 * d + 48, -12 * d * (d - 3), 12 * d * d
+
+
+def _first_positive(chi, start, lowest, admissible):
+    """Smallest x >= start with admissible(x) and chi(x) > 0, as
+    (x, chi(x), chi(x - 1) or None when x - 1 < lowest).  Each chi value is
+    computed at most once."""
+    values = {}
+
+    def value(x):
+        if x not in values:
+            values[x] = chi(x)
+        return values[x]
+
+    x = start
+    while not (admissible(x) and value(x) > 0):
+        x += 1
+    return x, values[x], value(x - 1) if x - 1 >= lowest else None
 
 
 def min_multiplicity_for_degree(d: int) -> Optional[ThresholdRecord]:
     """Smallest integer a >= 2 making the degree-d plane pair both
     order-2 positive and chi_2 positive; None when no a exists (d < 12).
 
-    The quadratic root bound locates the candidate; the two nearest integers
-    are then verified by exact chi evaluation.
+    With f(a) = 4 a^2 chi_2 = A a^2 + B a + C, f(2) = 4A + 2B + C =
+    -4d^2 - 36d + 192 < 0 for d >= 4.  For d >= 12, A > 0, so a = 2 lies
+    between the roots and chi_2 > 0 exactly for a past the larger root r.
+    The search starts at max(2, root) with root = (-B + isqrt(disc)) // 2A,
+    which never exceeds r, and steps up by one; every decision is an exact
+    chi_2 evaluation, each candidate's evaluated once.  As 2A >= 24, root
+    is floor(r) or floor(r) - 1, so a search evaluates at most 3 candidates.
+    For 4 <= d <= 11, A < 0 and f(0) = C > 0 > f(2) put the larger root
+    below 2, so chi_2 < 0 for every a >= 2.
     """
     if d < 4:
         raise DomainError("degree must be at least 4")
     A, B, C = _chi2_quadratic(d)
-    if A <= 0:
-        # Downward parabola in a (4 <= d <= 11): chi_2 > 0 only between the
-        # roots, so an exhaustive sweep up to past the larger root settles it.
-        disc = B * B - 4 * A * C
-        bound = 3 + (-B + math.isqrt(max(0, disc))) // (2 * -A)
-        for a in range(2, bound + 1):
-            if _order2_predicate(d, a):  # pragma: no cover - never fires
-                raise AssertionError("unexpected admissible order at d=%d" % d)
+    if A < 0:
         return None
-    disc = B * B - 4 * A * C
-    lower = 2
-    if disc >= 0:
-        root = (-B + math.isqrt(disc)) // (2 * A)
-        lower = max(2, root - 2)
-    a = lower
-    while not _order2_predicate(d, a):
-        a += 1
-    below = _chi2(d, a - 1) if a - 1 >= 2 else None
+    root = (-B + math.isqrt(B * B - 4 * A * C)) // (2 * A)
+    a, at, below = _first_positive(lambda a: _chi2(d, a), max(2, root), 2,
+                                   lambda a: _order2_admissible(d, a))
     return ThresholdRecord(parameter=d, minimal_value=a,
-                           chi_at_min=_chi2(d, a), chi_below_min=below)
+                           chi_at_min=at, chi_below_min=below)
 
 
 def _verify_last_range(d_start: int, a: int) -> None:
@@ -169,18 +181,17 @@ def _chi1_lines(c: int, d: int) -> Fraction:
 def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
     """Minimal equal degree d for which c multiplicity-2 components give a
     general-type pair (c d > 6) with chi_1 > 0; None when c <= 3, where the
-    quadratic term c(c-3)/8 rules positivity out.
+    quadratic term c(c-3)/8 rules positivity out.  Each candidate's chi_1 is
+    evaluated once.
     """
     if c < 1:
         raise DomainError("component count must be >= 1")
     if c <= 3:
         return None  # quadratic term c(c-3)/8 <= 0: chi_1 < 0 wherever cd > 6
-    d = 1
-    while not (c * d > 6 and _chi1_lines(c, d) > 0):
-        d += 1
-    below = _chi1_lines(c, d - 1) if d >= 2 else None
+    d, at, below = _first_positive(lambda d: _chi1_lines(c, d), 1, 1,
+                                   lambda d: c * d > 6)
     return ThresholdRecord(parameter=c, minimal_value=d,
-                           chi_at_min=_chi1_lines(c, d), chi_below_min=below)
+                           chi_at_min=at, chi_below_min=below)
 
 
 def k3_coefficient(m: int) -> Fraction:
@@ -203,17 +214,39 @@ def _ratio_bound(m: int, cm: Fraction) -> float:
     return math.pi ** 2 / (6 * float(cm))
 
 
+def _zeta2_enclosure(N: int):
+    """Rationals lo < pi^2/6 < hi, hi - lo = 1/(30 N^5).
+
+    With g(x) = 1/x - 1/(2x^2) + 1/(6x^3), g(j) - g(j+1) = 1/(j+1)^2 +
+    1/(6 j^3 (j+1)^3) and 1/(j^3 (j+1)^3) <= (j^-5 - (j+1)^-5)/5, so
+    telescoping gives g(N) - 1/(30 N^5) < sum_{j>N} 1/j^2 < g(N).
+    """
+    hi = harmonic_squares(N) + Fraction(6 * N * N - 3 * N + 1, 6 * N ** 3)
+    return hi - Fraction(1, 30 * N ** 5), hi
+
+
 def two_component_m2_predicate(pairing, c2) -> bool:
     """For multiplicity-2 components on a trivial-canonical surface:
     int(D^2) - 3 sum_i int(D_i^2) >= (4 pi^2 / 3) c2, with D the total
-    boundary.  Floating comparison at 1e-9 relative tolerance."""
+    boundary.  Decided exactly: the right side is 8 c2 pi^2/6, and the
+    rational enclosure of pi^2/6 from `_zeta2_enclosure` is refined (N
+    doubling) until it puts the left side on one side.  As pi^2 is
+    irrational, this ends for every rational c2 != 0; c2 = 0 is decided by
+    the sign of the left side."""
     r = len(pairing)
     lhs = Fraction(0)
     for i in range(r):
         for j in range(r):
             lhs += Fraction(pairing[i][j])
         lhs -= 3 * Fraction(pairing[i][i])
-    lhs_f = float(lhs)
-    rhs_f = 4 * math.pi ** 2 / 3 * float(Fraction(c2))
-    tol = 1e-9 * max(1.0, abs(lhs_f), abs(rhs_f))
-    return lhs_f >= rhs_f - tol
+    c2 = Fraction(c2)
+    if c2 == 0:
+        return lhs >= 0
+    N = 16
+    while True:
+        bounds = sorted(8 * c2 * z for z in _zeta2_enclosure(N))
+        if lhs >= bounds[1]:
+            return True
+        if lhs <= bounds[0]:
+            return False
+        N *= 2

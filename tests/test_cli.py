@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -245,3 +247,56 @@ def test_parallel_workers_do_not_change_output():
         _, serial, _ = invoke(cmd + ["--format", "csv", "--parallel", "1"])
         _, parallel, _ = invoke(cmd + ["--format", "csv", "--parallel", "4"])
         assert serial == parallel
+
+
+# Every command pays for what `orbichern.cli` imports; none needs these.
+HEAVY_MODULES = ("dataclasses", "inspect", "concurrent.futures")
+
+# The public names of the package, fixed so that start-up work cannot drop
+# or add one unnoticed.
+PUBLIC_NAMES = [
+    "ChiReport", "DomainError", "Geometry", "GeometryMismatch", "GradedClass",
+    "INFINITE_ORDER", "JumpData", "Multiplicity", "NonUnitError",
+    "OrbichernError", "OrbifoldPair", "PairFormatError", "Partition",
+    "SchurExpansion", "TableRow", "ThresholdRecord", "abelian_variety",
+    "canonical_k", "chi_k", "chi_leading_term",
+    "chi_trivial_canonical_closed_form", "cotangent_chern", "cotangent_segre",
+    "decompose_sym_tensor", "delta_k", "errors", "graded_summands", "gysin",
+    "gysin_coefficient", "harmonic", "jump_data", "k3_coefficient",
+    "k3_ratio_bound", "leading_scale", "line_arrangement_pair",
+    "line_arrangement_threshold", "load_pair", "log_asymptotic_coefficient",
+    "min_multiplicity_for_degree", "orbifold", "pairfile", "parse_pair",
+    "partitions", "pieri_multiply", "projective_space", "ring",
+    "schur_dimension", "serialize_pair", "shifted_target_degree",
+    "smooth_curve_pair", "surface_with_invariants", "table1", "thresholds",
+    "two_component_m2_predicate", "weighted_vectors"]
+
+# Runs `python -m orbichern ARGS` through cli.run, then reports on stderr
+# which of the modules named in argv[1] the process loaded.
+_LOADED_AFTER_RUN = (
+    "import sys; from orbichern.cli import run; "
+    "watched = sys.argv[1].split(','); code = run(sys.argv[2:]); "
+    "sys.stderr.write(','.join(m for m in watched if m in sys.modules)); "
+    "sys.exit(code)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--pair", "{pair}", "--k", "2"],
+    ["minmult", "--d", "12"],
+    ["gysin", "--n", "3", "--lambda", "2,2,1"],
+], ids=lambda argv: argv[0])
+def test_commands_do_not_import_heavy_modules(p2_file, argv):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = [a.replace("{pair}", p2_file) for a in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_RUN, ",".join(HEAVY_MODULES)]
+        + argv, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout
+    assert result.stderr == ""
+
+
+def test_public_names_are_stable():
+    import orbichern
+    assert orbichern.__all__ == PUBLIC_NAMES

@@ -1,8 +1,11 @@
+import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from orbichern.cli import run
 from orbichern.errors import PairFormatError
 from orbichern.orbifold import chi_k
 from orbichern.pairfile import parse_pair, serialize_pair
@@ -88,3 +91,124 @@ def test_serialize_is_canonical():
     pair = parse_pair('{"geometry": {"preset": "P2"},'
                       ' "components": [{"degree": 5, "mult": "3"}]}')
     assert serialize_pair(pair) == serialize_pair(parse_pair(serialize_pair(pair)))
+
+
+# The pair files of the README.
+README_PAIRS = [
+    {"geometry": {"preset": "P2"},
+     "components": [{"degree": 12, "mult": "107"}]},
+    {"geometry": {"preset": "Pn", "n": 3},
+     "components": [{"degree": 2, "mult": "inf"}]},
+    {"geometry": {"preset": "abelian", "n": 2, "selfint": 6},
+     "components": [{"mult": "2"}]},
+    {"geometry": {"preset": "abelian", "n": 2,
+                  "generators": ["D1", "D2"], "pairing": [[1, 2], [2, 1]]},
+     "components": [{"class": "D1", "mult": "2"},
+                    {"class": {"D1": 1, "D2": "1/2"}, "mult": "inf"}]},
+    {"geometry": {"preset": "surface", "c2": 24, "divisors": ["D"],
+                  "kk": 0, "kd": [0], "dd": [[6]]},
+     "components": [{"class": "D", "mult": "5"}]},
+]
+
+SURFACE, ABELIAN_PAIRING = README_PAIRS[4], README_PAIRS[3]
+
+
+DELETE = object()
+
+
+def _mutated(data, path, value):
+    """A copy of data with the field at path set to value, or removed."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
+
+
+def _chi_exit(tmp_path, data):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["chi", "--pair", str(path), "--k", "2"], out=out, err=err)
+    return code, err.getvalue()
+
+
+MALFORMED = [
+    (SURFACE, ("geometry", "kd"), 0, "geometry.kd"),
+    (SURFACE, ("geometry", "kd"), True, "geometry.kd"),
+    (SURFACE, ("geometry", "dd"), None, "geometry.dd"),
+    (SURFACE, ("geometry", "divisors"), None, "geometry.divisors"),
+    (SURFACE, ("geometry", "divisors"), [[1]], "geometry.divisors"),
+    (SURFACE, ("geometry", "divisors"), [1], "geometry.divisors"),
+    (SURFACE, ("geometry", "divisors"), "DE", "geometry.divisors"),
+    (SURFACE, ("geometry", "divisors"), ["D", "D"], "geometry.divisors"),
+    (SURFACE, ("geometry", "kk"), True, "geometry.kk"),
+    (ABELIAN_PAIRING, ("geometry", "generators"), 5, "geometry.generators"),
+    (ABELIAN_PAIRING, ("geometry", "generators"), ["D1", []],
+     "geometry.generators"),
+    (ABELIAN_PAIRING, ("geometry", "generators"), ["D1", "D1"],
+     "geometry.generators"),
+    (ABELIAN_PAIRING, ("geometry", "pairing"), [1], "geometry.pairing"),
+    (ABELIAN_PAIRING, ("geometry", "pairing"), 5, "geometry.pairing"),
+    (ABELIAN_PAIRING, ("geometry", "pairing"), [[1, 2]], "geometry.pairing"),
+    (README_PAIRS[1], ("geometry", "n"), True, "geometry.n"),
+    (README_PAIRS[0], ("components", 0, "degree"), True,
+     "components[0].degree"),
+    (README_PAIRS[0], ("components", 0, "mult"), True, "components[0].mult"),
+]
+
+
+@pytest.mark.parametrize("base,path,value,field", MALFORMED, ids=[
+    "%s=%s" % (field, json.dumps(value)) for _, _, value, field in MALFORMED])
+def test_malformed_field_exits_2_naming_it(tmp_path, base, path, value,
+                                            field):
+    code, err = _chi_exit(tmp_path, _mutated(base, path, value))
+    assert code == 2
+    assert field in err
+
+
+def test_asymmetric_pairing_stays_a_domain_error(tmp_path):
+    data = _mutated(ABELIAN_PAIRING, ("geometry", "pairing"), [[1, 2], [3, 1]])
+    assert _chi_exit(tmp_path, data)[0] == 3
+
+
+# Small values only: a mutated "n" or "degree" must stay cheap to evaluate.
+FUZZ_VALUES = [None, True, False, 0, -1, 1, 2, 3, 7, 2.5, "", "x", "DE", "D",
+               "D1", "1/2", "1/0", "inf", [], [1], [[1]], [1, 2],
+               [[1, 2], [2, 1]], ["D1", []], ["D", "D"], {}, {"D1": 1},
+               {"D": "x"}, {"preset": "P2"}]
+
+
+def _paths(node, prefix=()):
+    if prefix:
+        yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+def test_single_field_mutations_never_crash(tmp_path):
+    rng = random.Random(4300)
+    codes = []
+    for _ in range(400):
+        base = rng.choice(README_PAIRS)
+        path = rng.choice(list(_paths(base)))
+        delete = isinstance(path[-1], str) and rng.random() < 0.2
+        data = _mutated(base, path,
+                        DELETE if delete else rng.choice(FUZZ_VALUES))
+        code, err = _chi_exit(tmp_path, data)
+        assert code in (0, 2, 3), (data, code, err)
+        codes.append(code)
+        if code == 0:
+            pair = parse_pair(json.dumps(data))
+            again = parse_pair(serialize_pair(pair))
+            assert serialize_pair(again) == serialize_pair(pair)
+            assert chi_k(again, 2) == chi_k(pair, 2)
+    assert {0, 2, 3} <= set(codes)

@@ -143,3 +143,115 @@ def test_two_component_predicate_boundary_and_failures():
     assert two_component_m2_predicate([[1, 2], [2, 1]], 0) is True
     assert two_component_m2_predicate([[1, 1], [1, 1]], 0) is False
     assert two_component_m2_predicate([[10, 10], [10, 10]], 24) is False
+
+
+def chi2_quadratic(d, a):
+    # 4 a^2 chi_2 = (2d^2 - 27d + 48) a^2 - 12 d (d - 3) a + 12 d^2
+    return F((2 * d * d - 27 * d + 48) * a * a - 12 * d * (d - 3) * a
+             + 12 * d * d, 4 * a * a)
+
+
+def test_min_multiplicity_against_exhaustive_search():
+    # slow reference: every a from 2 up, each decided by canonical_k and chi_k
+    for d in range(12, 301):
+        a = 2
+        while not predicate(d, a):
+            a += 1
+        rec = min_multiplicity_for_degree(d)
+        assert rec.minimal_value == a
+        assert rec.chi_at_min == chi_k(smooth_curve_pair(d, a), 2)
+        assert rec.chi_below_min == chi_k(smooth_curve_pair(d, a - 1), 2)
+
+
+def test_no_multiplicity_works_below_twelve():
+    for d in range(4, 12):
+        assert not any(predicate(d, a) for a in range(2, 200))
+
+
+def test_min_multiplicity_against_integer_quadratic():
+    for d in list(range(12, 400)) + list(range(400, 3001, 7)):
+        a = 2
+        while not (a * (d - 3) > 2 * d and chi2_quadratic(d, a) > 0):
+            a += 1
+        assert min_multiplicity_for_degree(d) == (
+            d, a, chi2_quadratic(d, a), chi2_quadratic(d, a - 1))
+
+
+def test_line_threshold_against_chi1_closed_form():
+    def chi1(c, d):
+        return 6 - F(3, 2) * c * d + F(c * (c - 3), 8) * d * d
+
+    for c in range(4, 31):
+        d = 1
+        while not (c * d > 6 and chi1(c, d) > 0):
+            d += 1
+        assert line_arrangement_threshold(c) == (
+            c, d, chi1(c, d), chi1(c, d - 1) if d >= 2 else None)
+
+
+def test_searches_evaluate_each_candidate_once(monkeypatch):
+    import orbichern.thresholds as thresholds
+
+    calls = []
+    chi2 = thresholds._chi2
+    monkeypatch.setattr(thresholds, "_chi2",
+                        lambda d, a: calls.append((d, a)) or chi2(d, a))
+    for d in list(range(4, 301)) + [500, 1000, 2000, 3000]:
+        calls.clear()
+        thresholds.min_multiplicity_for_degree(d)
+        assert len(calls) == len(set(calls)) <= 3
+        assert calls or d < 12
+
+    lines = []
+    chi1 = thresholds._chi1_lines
+    monkeypatch.setattr(thresholds, "_chi1_lines",
+                        lambda c, d: lines.append((c, d)) or chi1(c, d))
+    for c in range(4, 31):
+        lines.clear()
+        thresholds.line_arrangement_threshold(c)
+        assert len(lines) == len(set(lines))
+
+
+def test_record_types_are_named_tuples():
+    rec = min_multiplicity_for_degree(12)
+    assert rec == (12, 107, F(111, 11449), F(-51, 2809))
+    assert repr(rec) == ("ThresholdRecord(parameter=12, minimal_value=107, "
+                         "chi_at_min=Fraction(111, 11449), "
+                         "chi_below_min=Fraction(-51, 2809))")
+    row = table1()[-1]
+    assert row == (246, None, 5, row.chi_at_min, row.chi_below_min)
+    assert repr(row) == ("TableRow(d_lo=246, d_hi=None, a_min=5, "
+                         "chi_at_min=%r, chi_below_min=%r)"
+                         % (row.chi_at_min, row.chi_below_min))
+
+
+# pi to 50 digits: boundaries computed from it are exact to ~1e-48, far
+# inside the 1e-12 offsets the tests put c2 at.
+PI = F("3.14159265358979323846264338327950288419716939937510")
+
+
+def test_zeta2_enclosure():
+    from orbichern.thresholds import _zeta2_enclosure
+
+    def g(x):
+        return F(1, x) - F(1, 2 * x * x) + F(1, 6 * x ** 3)
+
+    for j in range(1, 60):  # the telescoping identity behind the bounds
+        assert 6 * j ** 3 * (j + 1) ** 3 * (g(j) - g(j + 1) - F(1, (j + 1) ** 2)) == 1
+    for n in (1, 2, 3, 16, 128):
+        lo, hi = _zeta2_enclosure(n)
+        assert lo < PI * PI / 6 < hi
+        assert hi - lo == F(1, 30 * n ** 5)
+
+
+@pytest.mark.parametrize("pairing", [[[0, 5], [5, 0]], [[1, 1], [1, 1]],
+                                     [[3, 7, 1], [7, -2, 0], [1, 0, 4]]])
+def test_two_component_predicate_at_the_boundary(pairing):
+    # lhs = int D^2 - 3 sum int D_i^2; c2 on the boundary is 3 lhs/(4 pi^2)
+    r = len(pairing)
+    lhs = sum(map(sum, pairing)) - 3 * sum(pairing[i][i] for i in range(r))
+    boundary = F(3 * lhs) / (4 * PI * PI)
+    eps = F(1, 10 ** 12)
+    # c2 further from 0 than the boundary raises (4 pi^2/3) c2 when lhs > 0
+    assert two_component_m2_predicate(pairing, boundary * (1 - eps)) is (lhs > 0)
+    assert two_component_m2_predicate(pairing, boundary * (1 + eps)) is (lhs < 0)
