@@ -88,14 +88,6 @@ def _parse_ints(text):
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
-def _map(fn, items, workers):
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_chi(args, out):
@@ -143,7 +135,7 @@ def _range_label(row):
 
 
 def _cmd_table1(args, out):
-    rows = thresholds.table1(workers=args.parallel)
+    rows = thresholds.table1()
     data = [{"parameter": _range_label(r), "minimal_value": str(r.a_min),
              "chi_at_min": _fmt(r.chi_at_min, args.float),
              "chi_below_min": _fmt(r.chi_below_min, args.float)}
@@ -170,9 +162,9 @@ def _cmd_minmult(args, out):
 
 def _cmd_lines(args, out):
     cs = [args.c] if args.c is not None else list(range(4, args.c_max + 1))
-    records = _map(thresholds.line_arrangement_threshold, cs, args.parallel)
     data = []
-    for c, rec in zip(cs, records):
+    for c in cs:
+        rec = thresholds.line_arrangement_threshold(c)
         if rec is None:
             data.append({"parameter": str(c), "minimal_value": "none",
                          "chi_at_min": "-", "chi_below_min": "-"})
@@ -186,15 +178,10 @@ def _cmd_lines(args, out):
     return 0
 
 
-def _k3_values(m):
-    cm = thresholds.k3_coefficient(m)
-    return cm, thresholds._ratio_bound(m, cm) if cm > 0 else None
-
-
 def _cmd_k3scan(args, out):
-    ms = list(range(2, args.m_max + 1))
-    rows = [{"m": str(m), "coefficient": _fmt(cm, args.float), "ratio": _fmt(ratio)}
-            for m, (cm, ratio) in zip(ms, _map(_k3_values, ms, args.parallel))]
+    rows = [{"m": str(m), "coefficient": _fmt(cm, args.float),
+             "ratio": _fmt(thresholds._ratio_bound(m, cm) if cm > 0 else None)}
+            for m, cm in thresholds._k3_coefficients(args.m_max)]
     _emit(rows, ["m", "coefficient", "ratio"], args.format, out)
     return 0
 
@@ -258,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--float", action="store_true",
                        help="binary64 evaluation and 12-digit printing")
         p.add_argument("--parallel", type=int, default=1, metavar="W",
-                       help="worker count for scan commands")
+                       help="accepted for compatibility; has no effect")
         if pair:
             p.add_argument("--pair", required=True, metavar="FILE",
                            help="JSON pair description")

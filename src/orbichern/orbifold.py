@@ -106,7 +106,7 @@ class OrbifoldPair:
 def _check_order(k):
     if k is INFINITE_ORDER:
         return
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DomainError("order k must be a positive integer or infinite")
 
 

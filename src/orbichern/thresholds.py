@@ -1,9 +1,10 @@
 """Exact threshold searches over ramification orders and arrangements.
 
 Each search locates the smallest integer parameter for which a positivity
-predicate built from chi values holds.  Quadratic root bounds (via integer
-square roots, never floats) narrow the candidate window; the actual decisions
-are exact chi evaluations, each candidate's chi evaluated once.
+predicate built from chi values holds.  Both chi values involved are integer
+quadratics over a positive integer scale, so every candidate is decided in
+integer arithmetic alone (`_first_positive`); exact chi is evaluated only for
+the values a search reports.
 
 For a smooth plane curve of degree d and multiplicity a, 4 a^2 chi_2 is the
 integer quadratic f(a) = A a^2 + B a + C with A = 2d^2 - 27d + 48,
@@ -12,6 +13,16 @@ negative for every d >= 4, while f(0) = C > 0.  For d >= 12, A > 0, so
 a = 2 lies between the roots and chi_2 > 0 exactly past the larger root; the
 search starts at the isqrt floor of that root, which never exceeds it.  For
 4 <= d <= 11, A < 0 and the larger root lies below 2, so no a >= 2 works.
+
+For c general components of degree d and multiplicity 2, 8 chi_1 is the
+integer quadratic c(c - 3) d^2 - 12cd + 48 in d.
+
+Two runtime checks tie these identities to the ring: every reported chi_2
+must satisfy 4 a^2 chi_2 = f(a) exactly, and every reported chi_1
+8 chi_1 = c(c - 3) d^2 - 12cd + 48; a mismatch raises AssertionError.
+`table1` decides a_min(d) for each degree from f alone and evaluates chi only
+at the first degree of each row.  `_k3_coefficients` scans the
+trivial-canonical coefficients with running harmonic sums.
 """
 
 from __future__ import annotations
@@ -72,21 +83,41 @@ def _chi2_quadratic(d: int):
     return 2 * d * d - 27 * d + 48, -12 * d * (d - 3), 12 * d * d
 
 
-def _first_positive(chi, start, lowest, admissible):
-    """Smallest x >= start with admissible(x) and chi(x) > 0, as
-    (x, chi(x), chi(x - 1) or None when x - 1 < lowest).  Each chi value is
-    computed at most once."""
-    values = {}
+def _value(coeffs, x: int) -> int:
+    """The integer polynomial with coefficients coeffs, highest first, at x."""
+    value = 0
+    for c in coeffs:
+        value = value * x + c
+    return value
 
-    def value(x):
-        if x not in values:
-            values[x] = chi(x)
-        return values[x]
 
+def _first_positive(coeffs, start: int, admissible=lambda x: True) -> int:
+    """Smallest integer x >= start with admissible(x) and the integer
+    polynomial coeffs (highest degree first) positive at x.  The caller
+    guarantees such an x exists."""
     x = start
-    while not (admissible(x) and value(x) > 0):
+    while not (admissible(x) and _value(coeffs, x) > 0):
         x += 1
-    return x, values[x], value(x - 1) if x - 1 >= lowest else None
+    return x
+
+
+def _checked(value: Fraction, scale: int, expected: int, what: str) -> Fraction:
+    """value, once scale * value == expected holds exactly."""
+    if scale * value != expected:
+        raise AssertionError("%s = %s, but its integer quadratic gives %s"
+                             % (what, value, Fraction(expected, scale)))
+    return value
+
+
+def _min_order(d: int) -> Optional[int]:
+    """The minimal order a for degree d >= 4 decided from f alone; None for
+    d <= 11.  a = 2 is never admissible, and every a >= 3 is for d >= 12."""
+    A, B, C = _chi2_quadratic(d)
+    if A < 0:
+        return None
+    root = (-B + math.isqrt(B * B - 4 * A * C)) // (2 * A)
+    return _first_positive((A, B, C), max(3, root),
+                           lambda a: _order2_admissible(d, a))
 
 
 def min_multiplicity_for_degree(d: int) -> Optional[ThresholdRecord]:
@@ -96,23 +127,26 @@ def min_multiplicity_for_degree(d: int) -> Optional[ThresholdRecord]:
     With f(a) = 4 a^2 chi_2 = A a^2 + B a + C, f(2) = 4A + 2B + C =
     -4d^2 - 36d + 192 < 0 for d >= 4.  For d >= 12, A > 0, so a = 2 lies
     between the roots and chi_2 > 0 exactly for a past the larger root r.
-    The search starts at max(2, root) with root = (-B + isqrt(disc)) // 2A,
-    which never exceeds r, and steps up by one; every decision is an exact
-    chi_2 evaluation, each candidate's evaluated once.  As 2A >= 24, root
-    is floor(r) or floor(r) - 1, so a search evaluates at most 3 candidates.
-    For 4 <= d <= 11, A < 0 and f(0) = C > 0 > f(2) put the larger root
-    below 2, so chi_2 < 0 for every a >= 2.
+    The integer search starts at max(3, root) with
+    root = (-B + isqrt(disc)) // 2A, which never exceeds r, and decides each
+    candidate by the sign of f.  For 4 <= d <= 11, A < 0 and
+    f(0) = C > 0 > f(2) put the larger root below 2, so chi_2 < 0 for every
+    a >= 2.  Exact chi_2 is evaluated at a and a - 1 only, and each value
+    must satisfy 4 a^2 chi_2 = f(a) or AssertionError is raised.
     """
     if d < 4:
         raise DomainError("degree must be at least 4")
-    A, B, C = _chi2_quadratic(d)
-    if A < 0:
+    a = _min_order(d)
+    if a is None:
         return None
-    root = (-B + math.isqrt(B * B - 4 * A * C)) // (2 * A)
-    a, at, below = _first_positive(lambda a: _chi2(d, a), max(2, root), 2,
-                                   lambda a: _order2_admissible(d, a))
+    f = _chi2_quadratic(d)
+
+    def chi2(x):
+        return _checked(_chi2(d, x), 4 * x * x, _value(f, x),
+                        "chi_2 at d=%d, a=%d" % (d, x))
+
     return ThresholdRecord(parameter=d, minimal_value=a,
-                           chi_at_min=at, chi_below_min=below)
+                           chi_at_min=chi2(a), chi_below_min=chi2(a - 1))
 
 
 def _verify_last_range(d_start: int, a: int) -> None:
@@ -147,30 +181,34 @@ def _verify_last_range(d_start: int, a: int) -> None:
 def table1(d_max: int = 300, workers: int = 1) -> list[TableRow]:
     """Ranges of degrees sharing a minimal ramification order, exhaustively
     for 12 <= d <= d_max, plus a root-bound proof that the last range is
-    unbounded.  The sweep parallelizes over d; results are order-independent."""
-    degrees = range(12, d_max + 1)
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(min_multiplicity_for_degree, degrees))
-    else:
-        records = [min_multiplicity_for_degree(d) for d in degrees]
-    rows: list[TableRow] = []
-    start = 0
-    for i in range(1, len(records) + 1):
-        if i == len(records) or records[i].minimal_value != records[start].minimal_value:
-            rec = records[start]
-            d_hi = records[i - 1].parameter
-            rows.append(TableRow(d_lo=rec.parameter, d_hi=d_hi,
-                                 a_min=rec.minimal_value,
-                                 chi_at_min=rec.chi_at_min,
-                                 chi_below_min=rec.chi_below_min))
-            start = i
-    last = rows[-1]
-    _verify_last_range(last.d_lo, last.a_min)
-    rows[-1] = TableRow(d_lo=last.d_lo, d_hi=None, a_min=last.a_min,
-                        chi_at_min=last.chi_at_min,
-                        chi_below_min=last.chi_below_min)
+    unbounded.
+
+    a_min(d) is decided for every degree from 4 a^2 chi_2 = f(a) in integers
+    alone.  Exact chi_2 is evaluated only at each row's first degree, through
+    `min_multiplicity_for_degree`, so the printed values are checked against
+    f.  The sweep must reach the range proven unbounded: its last row must
+    have the limiting order, the smallest a >= 3 at which the d^2 coefficient
+    2a^2 - 12a + 12 of 4 a^2 chi_2 is positive, or DomainError is raised.
+    `workers` is accepted for compatibility and ignored.
+    """
+    starts = []  # (first degree, a_min) of each row
+    for d in range(12, d_max + 1):
+        a = _min_order(d)
+        if not starts or starts[-1][1] != a:
+            starts.append((d, a))
+    limit = _first_positive((2, -12, 12), 3)
+    if not starts or starts[-1][1] != limit:
+        raise DomainError(
+            "d_max=%d is too small: the sweep must reach the range proven "
+            "unbounded, where the minimal order is %d" % (d_max, limit))
+    _verify_last_range(*starts[-1])
+    rows = []
+    for i, (d_lo, a) in enumerate(starts):
+        rec = min_multiplicity_for_degree(d_lo)
+        d_hi = starts[i + 1][0] - 1 if i + 1 < len(starts) else None
+        rows.append(TableRow(d_lo=d_lo, d_hi=d_hi, a_min=a,
+                             chi_at_min=rec.chi_at_min,
+                             chi_below_min=rec.chi_below_min))
     return rows
 
 
@@ -181,17 +219,26 @@ def _chi1_lines(c: int, d: int) -> Fraction:
 def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
     """Minimal equal degree d for which c multiplicity-2 components give a
     general-type pair (c d > 6) with chi_1 > 0; None when c <= 3, where the
-    quadratic term c(c-3)/8 rules positivity out.  Each candidate's chi_1 is
-    evaluated once.
+    quadratic term c(c-3)/8 rules positivity out.
+
+    Each candidate d is decided by the sign of the integer quadratic
+    8 chi_1 = c(c-3) d^2 - 12cd + 48.  Exact chi_1 is evaluated at d and, when
+    d >= 2, at d - 1, and each value must match the quadratic or
+    AssertionError is raised.
     """
     if c < 1:
         raise DomainError("component count must be >= 1")
     if c <= 3:
         return None  # quadratic term c(c-3)/8 <= 0: chi_1 < 0 wherever cd > 6
-    d, at, below = _first_positive(lambda d: _chi1_lines(c, d), 1, 1,
-                                   lambda d: c * d > 6)
-    return ThresholdRecord(parameter=c, minimal_value=d,
-                           chi_at_min=at, chi_below_min=below)
+    q = (c * (c - 3), -12 * c, 48)
+    d = _first_positive(q, 1, lambda d: c * d > 6)
+
+    def chi1(x):
+        return _checked(_chi1_lines(c, x), 8, _value(q, x),
+                        "chi_1 at c=%d, d=%d" % (c, x))
+
+    return ThresholdRecord(parameter=c, minimal_value=d, chi_at_min=chi1(d),
+                           chi_below_min=chi1(d - 1) if d >= 2 else None)
 
 
 def k3_coefficient(m: int) -> Fraction:
@@ -199,6 +246,17 @@ def k3_coefficient(m: int) -> Fraction:
     if m < 2:
         raise DomainError("m must be an integer >= 2")
     return diagonal_coefficient(m)
+
+
+def _k3_coefficients(m_max: int):
+    """Yield (m, k3_coefficient(m)) for 2 <= m <= m_max, keeping the running
+    sums s1 = H_m - 1 and s2 = H_m^(2) - 1: O(m_max) Fraction steps, where a
+    k3_coefficient call per m restarts both sums."""
+    s1 = s2 = Fraction(0)
+    for m in range(2, m_max + 1):
+        s1 += Fraction(1, m)
+        s2 += Fraction(1, m * m)
+        yield m, (s1 * s1 - s2) / 2 - Fraction(m - 1, 2 * m)
 
 
 def k3_ratio_bound(m: int) -> float:

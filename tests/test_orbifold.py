@@ -48,6 +48,15 @@ def test_delta_infinite_order_keeps_only_log_part():
 
 # -- cotangent classes ---------------------------------------------------------
 
+@pytest.mark.parametrize("fn", [chi_k, chi_leading_term, cotangent_segre,
+                                delta_k])
+@pytest.mark.parametrize("k", [True, False])
+def test_bool_orders_are_rejected(fn, k):
+    # bool is an int subclass; True must not pass for order 1
+    with pytest.raises(DomainError):
+        fn(plane_pair((12, 107)), k)
+
+
 def test_cotangent_chern_no_boundary():
     geom = projective_space(2)
     h = geom.generator("h")

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 
 from orbichern.errors import DomainError
 from orbichern.orbifold import canonical_k, chi_k
-from orbichern.thresholds import (k3_coefficient, k3_ratio_bound,
+from orbichern.harmonic import diagonal_coefficient
+from orbichern.thresholds import (_k3_coefficients, k3_coefficient,
+                                  k3_ratio_bound,
                                   line_arrangement_pair,
                                   line_arrangement_threshold,
                                   min_multiplicity_for_degree,
@@ -151,12 +154,18 @@ def chi2_quadratic(d, a):
              + 12 * d * d, 4 * a * a)
 
 
-def test_min_multiplicity_against_exhaustive_search():
+@functools.lru_cache(maxsize=None)
+def exhaustive_min_order(d):
     # slow reference: every a from 2 up, each decided by canonical_k and chi_k
+    a = 2
+    while not predicate(d, a):
+        a += 1
+    return a
+
+
+def test_min_multiplicity_against_exhaustive_search():
     for d in range(12, 301):
-        a = 2
-        while not predicate(d, a):
-            a += 1
+        a = exhaustive_min_order(d)
         rec = min_multiplicity_for_degree(d)
         assert rec.minimal_value == a
         assert rec.chi_at_min == chi_k(smooth_curve_pair(d, a), 2)
@@ -210,6 +219,107 @@ def test_searches_evaluate_each_candidate_once(monkeypatch):
         lines.clear()
         thresholds.line_arrangement_threshold(c)
         assert len(lines) == len(set(lines))
+
+
+def test_integer_search_wants_strict_positivity():
+    from orbichern.thresholds import _first_positive
+
+    # (x - 2)(x - 3): zero at 2 and 3, positive from 4 on and below 2
+    assert _first_positive((1, -5, 6), 0) == 0
+    assert _first_positive((1, -5, 6), 2) == 4
+    assert _first_positive((1, -5, 6), 0, lambda x: x % 2 == 1) == 1
+    assert _first_positive((1, -5, 6), 2, lambda x: x % 2 == 1) == 5
+
+
+def test_table1_against_grouped_exhaustive_search():
+    rows = []
+    for d in range(12, 301):
+        a = exhaustive_min_order(d)
+        if rows and rows[-1][2] == a:
+            rows[-1][1] = d
+        else:
+            rows.append([d, d, a, chi_k(smooth_curve_pair(d, a), 2),
+                         chi_k(smooth_curve_pair(d, a - 1), 2)])
+    rows[-1][1] = None  # proven unbounded
+    assert table1() == [tuple(r) for r in rows]
+
+
+def test_line_threshold_against_exhaustive_chi1_search():
+    def chi1(c, d):
+        return chi_k(line_arrangement_pair([d] * c), 1)
+
+    for c in range(4, 61):
+        d = 1
+        while not (c * d > 6 and chi1(c, d) > 0):
+            d += 1
+        assert line_arrangement_threshold(c) == (
+            c, d, chi1(c, d), chi1(c, d - 1) if d >= 2 else None)
+
+
+def test_k3_running_sums_match_diagonal_coefficient():
+    values = list(_k3_coefficients(500))
+    assert [m for m, _ in values] == list(range(2, 501))
+    assert all(cm == diagonal_coefficient(m) for m, cm in values)
+    assert list(_k3_coefficients(1)) == []
+
+
+@pytest.mark.parametrize("d_max", [11, 12, 100, 245])
+def test_table1_must_reach_the_unbounded_range(d_max):
+    with pytest.raises(DomainError) as info:
+        table1(d_max)
+    assert "d_max=%d" % d_max in str(info.value)
+    assert "range proven unbounded" in str(info.value)
+
+
+def test_table1_smallest_complete_sweep():
+    rows = table1(246)
+    assert [(r.d_lo, r.d_hi, r.a_min) for r in rows] == TABLE_CELLS
+    assert rows == table1()
+
+
+def test_chi_is_evaluated_only_for_reported_values(monkeypatch):
+    import orbichern.thresholds as thresholds
+
+    calls = []
+    chi2 = thresholds._chi2
+    monkeypatch.setattr(thresholds, "_chi2",
+                        lambda d, a: calls.append((d, a)) or chi2(d, a))
+    rows = table1()
+    assert sorted(calls) == sorted(
+        (r.d_lo, a) for r in rows for a in (r.a_min, r.a_min - 1))
+    for d in list(range(4, 301)) + [500, 3000]:
+        calls.clear()
+        rec = min_multiplicity_for_degree(d)
+        if d <= 11:
+            assert calls == []
+        else:
+            assert calls == [(d, rec.minimal_value), (d, rec.minimal_value - 1)]
+
+    lines = []
+    chi1 = thresholds._chi1_lines
+    monkeypatch.setattr(thresholds, "_chi1_lines",
+                        lambda c, d: lines.append((c, d)) or chi1(c, d))
+    for c in range(1, 61):
+        lines.clear()
+        thresholds.line_arrangement_threshold(c)
+        assert len(lines) <= 2 and (lines or c <= 3)
+
+
+def test_reported_chi_values_are_checked_against_the_quadratics(monkeypatch):
+    import orbichern.thresholds as thresholds
+
+    chi2, chi1 = thresholds._chi2, thresholds._chi1_lines
+    monkeypatch.setattr(thresholds, "_chi2",
+                        lambda d, a: chi2(d, a) + F(1, 10 ** 9))
+    with pytest.raises(AssertionError):
+        min_multiplicity_for_degree(20)
+    with pytest.raises(AssertionError):
+        table1()
+    monkeypatch.setattr(thresholds, "_chi2", chi2)
+    monkeypatch.setattr(thresholds, "_chi1_lines",
+                        lambda c, d: chi1(c, d) - F(1, 10 ** 9))
+    with pytest.raises(AssertionError):
+        line_arrangement_threshold(5)
 
 
 def test_record_types_are_named_tuples():
