@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import orbifold, thresholds
 from .errors import DomainError, OrbichernError, PairFormatError
 from .gysin import gysin_coefficient, jump_data
-from .partitions import decompose_sym_tensor, graded_summands
+from .partitions import decompose_sym_tensor
 from .pairfile import load_pair
 from .ring import INFINITE_ORDER
 
@@ -59,23 +59,30 @@ def _exact_str(value: Fraction) -> str:
 
 
 def _emit(rows, columns, fmt, out):
+    """Write rows, each a tuple of strings in column order, as csv, as one
+    JSON object per line, or as a left-aligned table; a lone cell is written
+    bare."""
     if fmt == "csv":
         out.write(",".join(columns) + "\n")
         for row in rows:
-            out.write(",".join(row[c] for c in columns) + "\n")
+            out.write(",".join(row) + "\n")
         return
     if fmt == "json":
         for row in rows:  # one object per line, scans included
-            out.write(json.dumps({c: row[c] for c in columns}) + "\n")
+            out.write(json.dumps(dict(zip(columns, row))) + "\n")
         return
     if len(columns) == 1 and len(rows) == 1:
-        out.write(rows[0][columns[0]] + "\n")
+        out.write(rows[0][0] + "\n")
         return
-    widths = {c: max(len(c), *(len(row[c]) for row in rows)) if rows else len(c)
-              for c in columns}
-    out.write("  ".join(c.ljust(widths[c]) for c in columns).rstrip() + "\n")
+    if rows:
+        widths = [max(len(c), max(map(len, cells)))
+                  for c, cells in zip(columns, zip(*rows))]
+    else:
+        widths = map(len, columns)
+    line = "  ".join("%%-%ds" % w for w in widths)
+    out.write((line % tuple(columns)).rstrip() + "\n")
     for row in rows:
-        out.write("  ".join(row[c].ljust(widths[c]) for c in columns).rstrip() + "\n")
+        out.write((line % row).rstrip() + "\n")
 
 
 def _parse_order(text):
@@ -93,18 +100,17 @@ def _parse_ints(text):
 def _cmd_chi(args, out):
     pair = load_pair(args.pair)
     value = orbifold.chi_k(pair, _finite(args.k), numeric=args.float)
-    _emit([{"chi": _fmt(value, args.float)}], ["chi"], args.format, out)
+    _emit([(_fmt(value, args.float),)], ["chi"], args.format, out)
     return 0
 
 
 def _cmd_leading(args, out):
     pair = load_pair(args.pair)
     report = orbifold.chi_leading_term(pair, _finite(args.k))
-    row = {"k": str(report.k),
-           "chi": _fmt(report.chi, args.float),
-           "leading_scale": _fmt(report.leading_scale, args.float),
-           "canonical_positive": "unknown" if report.canonical_positive is None
-           else _fmt(report.canonical_positive)}
+    row = (str(report.k), _fmt(report.chi, args.float),
+           _fmt(report.leading_scale, args.float),
+           "unknown" if report.canonical_positive is None
+           else _fmt(report.canonical_positive))
     _emit([row], ["k", "chi", "leading_scale", "canonical_positive"],
           args.format, out)
     return 0
@@ -113,15 +119,14 @@ def _cmd_leading(args, out):
 def _cmd_segre(args, out):
     pair = load_pair(args.pair)
     cls = orbifold.cotangent_segre(pair, _finite(args.k))
-    _emit([{"segre": str(cls)}], ["segre"], args.format, out)
+    _emit([(str(cls),)], ["segre"], args.format, out)
     return 0
 
 
 def _cmd_canonical(args, out):
     pair = load_pair(args.pair)
     cls, positive = orbifold.canonical_k(pair, args.k)
-    row = {"class": str(cls),
-           "positive": "unknown" if positive is None else _fmt(positive)}
+    row = (str(cls), "unknown" if positive is None else _fmt(positive))
     _emit([row], ["class", "positive"], args.format, out)
     return 0
 
@@ -136,9 +141,8 @@ def _range_label(row):
 
 def _cmd_table1(args, out):
     rows = thresholds.table1()
-    data = [{"parameter": _range_label(r), "minimal_value": str(r.a_min),
-             "chi_at_min": _fmt(r.chi_at_min, args.float),
-             "chi_below_min": _fmt(r.chi_below_min, args.float)}
+    data = [(_range_label(r), str(r.a_min), _fmt(r.chi_at_min, args.float),
+             _fmt(r.chi_below_min, args.float))
             for r in rows]
     _emit(data, ["parameter", "minimal_value", "chi_at_min", "chi_below_min"],
           args.format, out)
@@ -148,13 +152,11 @@ def _cmd_table1(args, out):
 def _cmd_minmult(args, out):
     rec = thresholds.min_multiplicity_for_degree(args.d)
     if rec is None:
-        row = {"parameter": str(args.d), "minimal_value": "none",
-               "chi_at_min": "-", "chi_below_min": "-"}
+        row = (str(args.d), "none", "-", "-")
     else:
-        row = {"parameter": str(rec.parameter),
-               "minimal_value": str(rec.minimal_value),
-               "chi_at_min": _fmt(rec.chi_at_min, args.float),
-               "chi_below_min": _fmt(rec.chi_below_min, args.float)}
+        row = (str(rec.parameter), str(rec.minimal_value),
+               _fmt(rec.chi_at_min, args.float),
+               _fmt(rec.chi_below_min, args.float))
     _emit([row], ["parameter", "minimal_value", "chi_at_min", "chi_below_min"],
           args.format, out)
     return 0
@@ -166,21 +168,19 @@ def _cmd_lines(args, out):
     for c in cs:
         rec = thresholds.line_arrangement_threshold(c)
         if rec is None:
-            data.append({"parameter": str(c), "minimal_value": "none",
-                         "chi_at_min": "-", "chi_below_min": "-"})
+            data.append((str(c), "none", "-", "-"))
         else:
-            data.append({"parameter": str(c),
-                         "minimal_value": str(rec.minimal_value),
-                         "chi_at_min": _fmt(rec.chi_at_min, args.float),
-                         "chi_below_min": _fmt(rec.chi_below_min, args.float)})
+            data.append((str(c), str(rec.minimal_value),
+                         _fmt(rec.chi_at_min, args.float),
+                         _fmt(rec.chi_below_min, args.float)))
     _emit(data, ["parameter", "minimal_value", "chi_at_min", "chi_below_min"],
           args.format, out)
     return 0
 
 
 def _cmd_k3scan(args, out):
-    rows = [{"m": str(m), "coefficient": _fmt(cm, args.float),
-             "ratio": _fmt(thresholds._ratio_bound(m, cm) if cm > 0 else None)}
+    rows = [(str(m), _fmt(cm, args.float),
+             _fmt(thresholds._ratio_bound(m, cm) if cm > 0 else None))
             for m, cm in thresholds._k3_coefficients(args.m_max)]
     _emit(rows, ["m", "coefficient", "ratio"], args.format, out)
     return 0
@@ -189,15 +189,14 @@ def _cmd_k3scan(args, out):
 def _cmd_gysin(args, out):
     data = jump_data(args.n, args.lam)
     kappa = gysin_coefficient(args.n, args.lam)
-    row = {"defect": str(data.defect), "coefficient": _fmt(kappa, args.float)}
+    row = (str(data.defect), _fmt(kappa, args.float))
     _emit([row], ["defect", "coefficient"], args.format, out)
     return 0
 
 
 def _cmd_pieri(args, out):
     expansion = decompose_sym_tensor(args.degrees)
-    rows = [{"multiplicity": str(mult),
-             "parts": " ".join(str(p) for p in lam.parts) or "0"}
+    rows = [(str(mult), " ".join(map(str, lam.parts)) or "0")
             for lam, mult in expansion.sorted_terms()]
     _emit(rows, ["multiplicity", "parts"], args.format, out)
     return 0
@@ -205,25 +204,52 @@ def _cmd_pieri(args, out):
 
 def _cmd_summands(args, out):
     pair = load_pair(args.pair)
-    names = {}   # (j, l_j) -> "S^l_j Omega(j)"
-    orders = {}  # j -> "order j: <coefficient profile>"
-    rows = []
-    for ell, factors in graded_summands(pair, _finite(args.k), args.N):
-        if factors:
-            for j, lj, profile in factors:
-                if (j, lj) not in names:
-                    names[j, lj] = "S^%d Omega(%d)" % (lj, j)
-                if j not in orders:
-                    orders[j] = "order %d: %s" % (
-                        j, " ".join(str(t.coefficient) for t in profile))
-            text = " (x) ".join([names[j, lj] for j, lj, _ in factors])
-            coeffs = "; ".join([orders[j] for j, _, _ in factors])
-        else:
-            text = "trivial"
-            coeffs = "-"
-        rows.append({"l": " ".join(map(str, ell)), "summand": text,
-                     "coefficients": coeffs})
-    _emit(rows, ["l", "summand", "coefficients"], args.format, out)
+    k, n_weight = _finite(args.k), args.N
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    if n_weight < 0:
+        raise DomainError("weight must be >= 0")
+    zeros = " ".join(["0"] * k)  # zeros[2 * (j - 1):] is l_j, ..., l_k = 0
+    if not n_weight:
+        _emit([(zeros, "trivial", "-")], ["l", "summand", "coefficients"],
+              args.format, out)
+        return 0
+    # "order j: <coefficient profile>" for every order a row can use
+    orders = [None] + ["order %d: %s" % (j, " ".join(
+        str(t.coefficient) for t in orbifold.delta_k(pair, j)))
+        for j in range(1, min(k, n_weight) + 1)]
+    memo = {}
+
+    def suffixes(j, remaining):
+        # the (l text, summand text, coefficients text) of every nonzero
+        # (l_j, ..., l_k) of weight remaining, in weighted_vectors' order
+        key = (j, remaining)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        found = []
+        head = "%d " if j < k else "%d"
+        order = orders[j]
+        order_x = order + "; "
+        for lj in range(remaining // j, -1, -1):
+            rest = remaining - j * lj
+            if not rest:
+                found.append((head % lj + zeros[2 * j:],
+                              "S^%d Omega(%d)" % (lj, j), order))
+            elif j < k and j < rest:
+                text = head % lj
+                if lj:
+                    name_x = "S^%d Omega(%d) (x) " % (lj, j)
+                    found += [(text + ls, name_x + ss, order_x + cs)
+                              for ls, ss, cs in suffixes(j + 1, rest)]
+                else:
+                    found += [(text + ls, ss, cs)
+                              for ls, ss, cs in suffixes(j + 1, rest)]
+        memo[key] = found
+        return found
+
+    _emit(suffixes(1, n_weight), ["l", "summand", "coefficients"],
+          args.format, out)
     return 0
 
 

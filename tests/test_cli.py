@@ -8,6 +8,8 @@ import pytest
 
 from orbichern.cli import run
 from orbichern.orbifold import OrbifoldPair, chi_k
+from orbichern.pairfile import load_pair
+from orbichern.partitions import graded_summands
 from orbichern.ring import projective_space
 
 P2_PAIR = ('{"geometry": {"preset": "P2"},'
@@ -111,6 +113,76 @@ def test_summands_command(p2_file):
         "2 1,S^2 Omega(1) (x) S^1 Omega(2),order 1: 106/107; order 2: 105/107",
         "0 2,S^2 Omega(2),order 2: 105/107",
     ]
+
+
+TWO_COMPONENT_PAIR = ('{"geometry": {"preset": "P2"}, "components":'
+                      ' [{"degree": 4, "mult": "3"},'
+                      ' {"degree": 1, "mult": "inf"}]}')
+
+
+def reference_summand_rows(pair, k, n_weight):
+    """The summand rows formatted one by one from graded_summands."""
+    rows = []
+    for ell, factors in graded_summands(pair, k, n_weight):
+        summand = " (x) ".join("S^%d Omega(%d)" % (lj, j)
+                               for j, lj, _ in factors) or "trivial"
+        coefficients = "; ".join(
+            "order %d: %s" % (j, " ".join(str(t.coefficient) for t in profile))
+            for j, _, profile in factors) or "-"
+        rows.append({"l": " ".join(map(str, ell)), "summand": summand,
+                     "coefficients": coefficients})
+    return rows
+
+
+@pytest.mark.parametrize("k,n_weight", [
+    (1, 0), (1, 5), (2, 4), (3, 0), (3, 7), (4, 9), (6, 6), (7, 3), (9, 14),
+    (25, 8)])
+def test_summands_rows_match_graded_summands(tmp_path, k, n_weight):
+    for name, text in (("p2", P2_PAIR), ("two", TWO_COMPONENT_PAIR)):
+        path = tmp_path / ("%s.json" % name)
+        path.write_text(text)
+        code, out, err = invoke(["summands", "--pair", str(path), "--k",
+                                 str(k), "--N", str(n_weight), "--format",
+                                 "json"])
+        assert code == 0 and err == ""
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows == reference_summand_rows(load_pair(str(path)), k,
+                                              n_weight)
+
+
+def test_summands_component_drops_out_below_k(tmp_path):
+    path = tmp_path / "two.json"
+    path.write_text(TWO_COMPONENT_PAIR)
+    code, out, _ = invoke(["summands", "--pair", str(path), "--k", "3",
+                           "--N", "3", "--format", "csv"])
+    assert code == 0
+    assert out.splitlines() == [
+        "l,summand,coefficients",
+        "3 0 0,S^3 Omega(1),order 1: 2/3 1",
+        "1 1 0,S^1 Omega(1) (x) S^1 Omega(2),order 1: 2/3 1; order 2: 1/3 1",
+        "0 0 1,S^1 Omega(3),order 3: 0 1",
+    ]
+
+
+@pytest.mark.parametrize("k,n_weight,count", [(500, 1, 1), (2000, 3, 3)])
+def test_summands_large_order_small_weight(p2_file, k, n_weight, count):
+    code, out, err = invoke(["summands", "--pair", p2_file, "--k", str(k),
+                             "--N", str(n_weight), "--format", "csv"])
+    assert code == 0 and err == ""
+    rows = out.splitlines()[1:]
+    assert len(rows) == count
+    assert all(len(row.split(",")[0].split()) == k for row in rows)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--k", "0", "--N", "2"], "error: k must be >= 1\n"),
+    (["--k", "-3", "--N", "0"], "error: k must be >= 1\n"),
+    (["--k", "2", "--N", "-1"], "error: weight must be >= 0\n"),
+    (["--k", "inf", "--N", "2"], "error: this command needs a finite order\n"),
+])
+def test_summands_domain_errors(p2_file, argv, message):
+    code, out, err = invoke(["summands", "--pair", p2_file] + argv)
+    assert (code, out, err) == (3, "", message)
 
 
 def test_minmult_no_solution():
@@ -284,6 +356,8 @@ _LOADED_AFTER_RUN = (
     ["chi", "--pair", "{pair}", "--k", "2"],
     ["minmult", "--d", "12"],
     ["gysin", "--n", "3", "--lambda", "2,2,1"],
+    ["pieri", "--degrees", "2,1"],
+    ["summands", "--pair", "{pair}", "--k", "2", "--N", "4"],
 ], ids=lambda argv: argv[0])
 def test_commands_do_not_import_heavy_modules(p2_file, argv):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

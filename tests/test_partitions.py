@@ -7,7 +7,7 @@ import pytest
 from orbichern.errors import DomainError
 from orbichern.orbifold import OrbifoldPair
 from orbichern.partitions import (Partition, SchurExpansion,
-                                  _horizontal_strips,
+                                  _pieri_stage,
                                   decompose_sym_tensor, graded_summands,
                                   pieri_multiply, schur_dimension,
                                   weighted_vectors)
@@ -64,8 +64,9 @@ def all_partitions(weight, largest=None):
 
 
 def reference_strips(parts, m):
-    """Slow reference for _horizontal_strips: recurse row by row over every
-    row length that interlaces with parts, keep the leaves with 0 left."""
+    """Slow reference for the strips of _pieri_stage: recurse row by row over
+    every row length that interlaces with parts, keep the leaves with 0
+    left."""
     rows = len(parts) + 1
     out = []
     prefix = [0] * rows
@@ -120,10 +121,50 @@ def test_expansion_rejects_non_integral_multiplicities(mult):
         SchurExpansion({(2, 1): mult})
 
 
-@pytest.mark.parametrize("degrees", [[2.0, 1], [True, 1], [-1]])
+@pytest.mark.parametrize("degrees", [[2.0, 1], [True, 1], [-1], ["1"], [None],
+                                     [2, "3"], [1, None], [F(2)], [3, False]])
 def test_decompose_rejects_non_integral_degrees(degrees):
     with pytest.raises(DomainError):
         decompose_sym_tensor(degrees)
+
+
+def test_decompose_checks_every_degree_before_any_stage(monkeypatch):
+    import orbichern.partitions as partitions
+    stages = []
+    monkeypatch.setattr(partitions, "_pieri_stage",
+                        lambda terms, m: stages.append(m) or terms)
+    for degrees in ([3, -1], [-1, 3], [4, 2, "1"], [5, None]):
+        with pytest.raises(DomainError):
+            decompose_sym_tensor(degrees)
+    with pytest.raises(DomainError, match="^degrees must be nonnegative$"):
+        decompose_sym_tensor([3, -1])
+    assert stages == []
+
+
+def test_decompose_runs_stages_in_descending_order(monkeypatch):
+    import orbichern.partitions as partitions
+    stages = []
+    real = partitions._pieri_stage
+
+    def record(terms, m):
+        stages.append(m)
+        return real(terms, m)
+
+    monkeypatch.setattr(partitions, "_pieri_stage", record)
+    out = decompose_sym_tensor(iter([1, 3, 0, 2, 3]))
+    assert stages == [3, 3, 2, 1, 0]
+    assert out == decompose_sym_tensor([3, 3, 2, 1, 0])
+
+
+def test_sorted_terms_by_weight_then_descending_parts():
+    rng = random.Random(404)
+    shapes = [parts for w in range(9) for parts in all_partitions(w)]
+    for _ in range(30):
+        expansion = SchurExpansion({parts: rng.randint(1, 9)
+                                    for parts in rng.sample(shapes, 25)})
+        assert expansion.sorted_terms() == sorted(
+            expansion.items(),
+            key=lambda kv: (kv[0].weight, tuple(-p for p in kv[0].parts)))
 
 
 def test_partition_serialization():
@@ -188,11 +229,28 @@ def test_strips_match_reference_exhaustively():
     for weight in range(13):
         for parts in all_partitions(weight):
             for m in range(8):
-                strips = _horizontal_strips(parts, m)
-                assert len(set(strips)) == len(strips)
+                strips = _pieri_stage({parts: 1}, m)
+                assert set(strips.values()) == {1}  # no strip found twice
                 assert set(strips) == set(reference_strips(parts, m))
                 cases += 1
     assert cases == 8 * sum(partitions_into_parts_leq(w, w) for w in range(13))
+
+
+def test_decompose_matches_iterated_pieri_in_given_order():
+    rng = random.Random(6006)
+    for _ in range(40):
+        degrees = [rng.randint(0, 6) for _ in range(rng.randint(0, 5))]
+        iterated = SchurExpansion.unit()
+        for a in degrees:  # unsorted, one validated SchurExpansion per stage
+            iterated = pieri_multiply(iterated, a)
+        assert decompose_sym_tensor(degrees) == iterated
+
+
+def test_pieri_stage_sums_multiplicities():
+    terms = {(2,): 3, (1, 1): 5}
+    assert _pieri_stage(terms, 1) == {(3,): 3, (2, 1): 8, (1, 1, 1): 5}
+    assert _pieri_stage(terms, 0) == terms
+    assert _pieri_stage({(): 7}, 4) == {(4,): 7}
 
 
 def test_pieri_outputs_are_valid_partitions():
@@ -276,6 +334,18 @@ def test_weighted_vectors_invariant_and_counts():
             assert vectors == sorted(vectors, reverse=True)
             assert len(set(vectors)) == len(vectors)
             assert len(vectors) == partitions_into_parts_leq(n, k)
+
+
+def test_weighted_vectors_deep_order_small_weight():
+    # the recursion is at most min(k, N) deep, so a large k is cheap
+    assert weighted_vectors(499, 1) == [(1,) + (0,) * 498]
+    vectors = weighted_vectors(5000, 4)
+    assert len(vectors) == 5
+    assert all(len(ell) == 5000 for ell in vectors)
+    assert [ell[:4] for ell in vectors] == [
+        (4, 0, 0, 0), (2, 1, 0, 0), (1, 0, 1, 0), (0, 2, 0, 0), (0, 0, 0, 1)]
+    assert all(not any(ell[4:]) for ell in vectors)
+    assert weighted_vectors(3000, 0) == [(0,) * 3000]
 
 
 # -- graded summands ----------------------------------------------------------------
