@@ -3,7 +3,8 @@
 Subcommands: chi, leading, segre, canonical, table1, minmult, lines, k3scan,
 gysin, pieri, summands.  Numeric output is exact ("p/q") unless --float is
 given; --format selects table, csv or json (scan commands emit one JSON
-object per line).  Exit codes: 0 success, 2 malformed input, 3 domain error.
+object per line).  Exit codes: 0 success, 1 stdout could not be written,
+2 malformed input, 3 domain error.
 
 All chi values are reported per unit covering degree.
 """
@@ -11,7 +12,9 @@ All chi values are reported per unit covering degree.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -95,17 +98,32 @@ def _parse_ints(text):
     return [int(p) for p in text.split(",") if p.strip() != ""]
 
 
+def _read_pair(path):
+    """load_pair; a pair file that cannot be opened or decoded is malformed
+    input (exit 2), so that run() reads any other OSError as a failed
+    write to out."""
+    try:
+        return load_pair(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PairFormatError(str(exc)) from exc
+
+
 # -- subcommand handlers -------------------------------------------------------
 
 def _cmd_chi(args, out):
-    pair = load_pair(args.pair)
-    value = orbifold.chi_k(pair, _finite(args.k), numeric=args.float)
+    pair = _read_pair(args.pair)
+    k = _finite(args.k)
+    if not args.float and k > orbifold.EXACT_ORDER_LIMIT:
+        raise DomainError("exact evaluation is limited to k <= %d; pass "
+                          "--float for numeric evaluation"
+                          % orbifold.EXACT_ORDER_LIMIT)
+    value = orbifold.chi_k(pair, k, numeric=args.float)
     _emit([(_fmt(value, args.float),)], ["chi"], args.format, out)
     return 0
 
 
 def _cmd_leading(args, out):
-    pair = load_pair(args.pair)
+    pair = _read_pair(args.pair)
     report = orbifold.chi_leading_term(pair, _finite(args.k))
     row = (str(report.k), _fmt(report.chi, args.float),
            _fmt(report.leading_scale, args.float),
@@ -117,14 +135,14 @@ def _cmd_leading(args, out):
 
 
 def _cmd_segre(args, out):
-    pair = load_pair(args.pair)
+    pair = _read_pair(args.pair)
     cls = orbifold.cotangent_segre(pair, _finite(args.k))
     _emit([(str(cls),)], ["segre"], args.format, out)
     return 0
 
 
 def _cmd_canonical(args, out):
-    pair = load_pair(args.pair)
+    pair = _read_pair(args.pair)
     cls, positive = orbifold.canonical_k(pair, args.k)
     row = (str(cls), "unknown" if positive is None else _fmt(positive))
     _emit([row], ["class", "positive"], args.format, out)
@@ -179,6 +197,8 @@ def _cmd_lines(args, out):
 
 
 def _cmd_k3scan(args, out):
+    if args.m_max < 2:  # as k3_coefficient(m) for the same m
+        raise DomainError("m must be an integer >= 2")
     rows = [(str(m), _fmt(cm, args.float),
              _fmt(thresholds._ratio_bound(m, cm) if cm > 0 else None))
             for m, cm in thresholds._k3_coefficients(args.m_max)]
@@ -203,7 +223,7 @@ def _cmd_pieri(args, out):
 
 
 def _cmd_summands(args, out):
-    pair = load_pair(args.pair)
+    pair = _read_pair(args.pair)
     k, n_weight = _finite(args.k), args.N
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -337,6 +357,22 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
+    try:
+        code = _dispatch(argv, out, err)
+        out.flush()  # a buffered write fails here, not at interpreter exit
+    except OSError as exc:  # out could not be written
+        if not isinstance(exc, BrokenPipeError):  # a closed reader is no error
+            err.write("error: %s\n" % exc)
+        if out is sys.stdout:
+            # the exit flush would retry the unwritten buffer and fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        return 1
+    return code
+
+
+def _dispatch(argv, out, err):
     parser = build_parser()
     try:
         with redirect_stdout(out), redirect_stderr(err):  # usage, --help
@@ -345,10 +381,7 @@ def run(argv, out=None, err=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.fn(args, out)
-    except PairFormatError as exc:
-        err.write("error: %s\n" % exc)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable pair file
+    except PairFormatError as exc:  # includes a pair file that cannot be read
         err.write("error: %s\n" % exc)
         return 2
     except OrbichernError as exc:
@@ -357,7 +390,17 @@ def run(argv, out=None, err=None) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line and exit with its code.
+
+    Freezing the heap first moves every live object into the permanent
+    generation, so the interpreter's exit collections have nothing to
+    traverse: module state in reference cycles is dropped with the process
+    instead of being walked.  atexit handlers, the stdio flush and the exit
+    code are as usual.
+    """
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

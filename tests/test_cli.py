@@ -1,3 +1,5 @@
+import errno
+import gc
 import io
 import json
 import os
@@ -241,6 +243,42 @@ def test_exactness_threshold_needs_float_flag(abelian_file):
     assert float(out) != 0
 
 
+def test_exactness_threshold_names_the_cli_flag(p2_file):
+    code, out, err = invoke(["chi", "--pair", p2_file, "--k", "10001"])
+    assert code == 3 and out == ""
+    assert "k <= 10000" in err and "--float" in err and "numeric" in err
+
+
+@pytest.mark.parametrize("m_max", ["1", "0", "-5"])
+def test_k3scan_below_first_coefficient_is_domain_error(m_max):
+    code, out, err = invoke(["k3scan", "--m-max", m_max])
+    assert (code, out, err) == (3, "", "error: m must be an integer >= 2\n")
+    code, out, _ = invoke(["k3scan", "--m-max", "2", "--format", "csv"])
+    assert code == 0 and out.splitlines()[1:] == ["2,-1/4,-"]
+
+
+class FailingStream(io.StringIO):
+    """A stdout whose writes fail with the given OSError."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc, message", [
+    (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+    (OSError(errno.ENOSPC, "No space left on device"),
+     "error: [Errno 28] No space left on device\n"),
+])
+def test_failed_write_exits_1(exc, message):
+    err = io.StringIO()
+    assert run(["table1"], out=FailingStream(exc), err=err) == 1
+    assert err.getvalue() == message
+
+
 def test_exact_chi_prints_past_int_digit_limit(p2_file):
     # from k = 4967 on, the exact value has more digits than Python's default
     # int-to-str limit; the CLI lifts it for formatting only, then restores it
@@ -374,3 +412,114 @@ def test_commands_do_not_import_heavy_modules(p2_file, argv):
 def test_public_names_are_stable():
     import orbichern
     assert orbichern.__all__ == PUBLIC_NAMES
+
+
+# -- the installed entry point: `python -m orbichern` runs cli.main() ---------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def main_env(buffered=True):
+    """The child's environment.  A piped stdout is block-buffered unless
+    PYTHONUNBUFFERED is set, and a buffered write fails only when flushed,
+    so the write-failure tests run both ways whatever the caller has set."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_main(argv, stdout=subprocess.PIPE, buffered=True):
+    return subprocess.run([sys.executable, "-m", "orbichern"] + argv,
+                          env=main_env(buffered), stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["table1"], 0),
+    (["chi", "--pair", "{pair}", "--k", "2"], 0),
+    (["pieri", "--degrees", "2,1"], 0),
+    (["gysin", "--n", "3", "--lambda", "2,2,1"], 0),
+    (["k3scan", "--m-max", "8", "--format", "json"], 0),
+    (["pieri", "--help"], 0),
+    (["minmult", "--d", "3"], 3),
+    (["chi", "--bogus"], 2),
+], ids=lambda p: "-".join(p[:2]) if isinstance(p, list) else str(p))
+def test_main_matches_run(p2_file, argv, expected_code):
+    argv = [a.replace("{pair}", p2_file) for a in argv]
+    code, out, err = invoke(argv)
+    result = run_main(argv)
+    assert result.returncode == code == expected_code
+    assert result.stdout == out.encode()
+    assert result.stderr == err.encode()
+
+
+# Registers an atexit hook, runs cli.main() on argv[1:], and has the hook
+# report the permanent generation's size after main() has flushed stdout.
+_ATEXIT_AFTER_MAIN = (
+    "import atexit, gc, sys\n"
+    "atexit.register(lambda: print('atexit: frozen', gc.get_freeze_count() > 0))\n"
+    "from orbichern.cli import main\n"
+    "sys.argv[0] = 'orbichern'\n"
+    "main()\n")
+
+
+def test_main_exits_through_the_interpreter():
+    # an atexit hook still runs after main(), so it is no os._exit
+    result = subprocess.run(
+        [sys.executable, "-c", _ATEXIT_AFTER_MAIN, "minmult", "--d", "12"],
+        env=main_env(), capture_output=True, text=True, timeout=60)
+    code, out, _ = invoke(["minmult", "--d", "12"])
+    assert result.returncode == code == 0
+    assert result.stdout == out + "atexit: frozen True\n"
+    assert result.stderr == ""
+
+
+def test_run_leaves_the_heap_unfrozen():
+    before = gc.get_freeze_count()
+    assert invoke(["table1"])[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_reader_closing_the_pipe_exits_1_quietly(p2_file, buffered):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbichern", "summands", "--pair", p2_file,
+         "--k", "12", "--N", "36"], env=main_env(buffered),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith(b"l ")
+        proc.stdout.close()  # the rows still to come have no reader
+        err = proc.stderr.read()
+    finally:
+        proc.wait(timeout=60)
+    proc.stderr.close()
+    assert proc.returncode == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_closed_pipe_before_first_write_exits_1_quietly(buffered):
+    # the output fits in stdout's buffer, so the write fails only on flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_main(["table1"], stdout=write_end, buffered=buffered)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_full_device_exits_1_with_message(buffered):
+    with open("/dev/full", "wb") as full:
+        result = run_main(["table1"], stdout=full, buffered=buffered)
+    assert result.returncode == 1
+    assert result.stderr == b"error: [Errno 28] No space left on device\n"
