@@ -3,7 +3,7 @@
 Subcommands: chi, leading, segre, canonical, table1, minmult, lines, k3scan,
 gysin, pieri, summands.  Numeric output is exact ("p/q") unless --float is
 given; --format selects table, csv or json (scan commands emit one JSON
-object per line).  Exit codes: 0 success, 1 stdout could not be written,
+object per line).  Exit codes: 0 success, 1 output could not be written,
 2 malformed input, 3 domain error.
 
 All chi values are reported per unit covering degree.
@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -124,7 +125,11 @@ def _cmd_chi(args, out):
 
 def _cmd_leading(args, out):
     pair = _read_pair(args.pair)
-    report = orbifold.chi_leading_term(pair, _finite(args.k))
+    k = _finite(args.k)
+    if k > orbifold.EXACT_ORDER_LIMIT:  # leading has no numeric path
+        raise DomainError("leading is exact only, for k <= %d; use chi --float "
+                          "for numeric evaluation" % orbifold.EXACT_ORDER_LIMIT)
+    report = orbifold.chi_leading_term(pair, k)
     row = (str(report.k), _fmt(report.chi, args.float),
            _fmt(report.leading_scale, args.float),
            "unknown" if report.canonical_positive is None
@@ -360,9 +365,10 @@ def run(argv, out=None, err=None) -> int:
     try:
         code = _dispatch(argv, out, err)
         out.flush()  # a buffered write fails here, not at interpreter exit
-    except OSError as exc:  # out could not be written
+    except OSError as exc:  # out (or err) could not be written
         if not isinstance(exc, BrokenPipeError):  # a closed reader is no error
-            err.write("error: %s\n" % exc)
+            with suppress(OSError):  # a failing err cannot report it either
+                err.write("error: %s\n" % exc)
         if out is sys.stdout:
             # the exit flush would retry the unwritten buffer and fail again
             devnull = os.open(os.devnull, os.O_WRONLY)
@@ -374,10 +380,13 @@ def run(argv, out=None, err=None) -> int:
 
 def _dispatch(argv, out, err):
     parser = build_parser()
+    usage, errors = io.StringIO(), io.StringIO()  # argparse hides write errors
     try:
-        with redirect_stdout(out), redirect_stderr(err):  # usage, --help
+        with redirect_stdout(usage), redirect_stderr(errors):  # --help, usage
             args = parser.parse_args(argv)
     except SystemExit as exc:
+        out.write(usage.getvalue())
+        err.write(errors.getvalue())
         return exc.code if exc.code is not None else 0
     try:
         return args.fn(args, out)

@@ -49,11 +49,6 @@ def _split(a, b, power):
     return p1 * d2 + p2 * d1, d1 * d2
 
 
-def harmonic_squares(k, exact=True):
-    """H_k^(2) = 1 + 1/4 + ... + 1/k^2."""
-    return harmonic_range(1, k, 2, exact)
-
-
 def diagonal_coefficient(m) -> Fraction:
     """sum_{2<=j1<j2<=m} 1/(j1 j2) - (m-1)/(2m), for an integer m >= 2.
 

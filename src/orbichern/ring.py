@@ -111,31 +111,52 @@ class Geometry:
     kind:
         Preset tag ("projective", "abelian", "surface" or "custom"), used
         only by positivity decisions downstream.
+    tangent_chern:
+        c(T) as a map from exponent tuples of degree <= n to exact
+        rationals, with constant term 1; None means c(T) = 1.
+    preset_data:
+        The JSON geometry object a preset was built from, or None.
+
+    `degree` maps every exponent tuple of weighted degree <= n to its degree.
+    Every field is set here: assigning to a Geometry raises AttributeError.
     """
 
-    def __init__(self, dim, generators, integrals, kind="custom"):
-        if dim < 1:
-            raise DomainError("dimension must be >= 1")
-        names = [name for name, _ in generators]
+    __slots__ = ("dim", "generators", "names", "kind", "degree", "integrals",
+                 "tangent_chern", "preset_data")
+
+    def __init__(self, dim, generators, integrals, kind="custom",
+                 tangent_chern=None, preset_data=None):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise DomainError("dimension must be an integer >= 1")
+        generators = tuple((name, deg) for name, deg in generators)
+        names = tuple(name for name, _ in generators)
         if len(set(names)) != len(names):
             raise DomainError("generator names must be distinct")
+        degree = {(): 0}
         for name, deg in generators:
             if deg not in (1, 2):
                 raise DomainError("generator %s has degree %s, want 1 or 2" % (name, deg))
-        self.dim = dim
-        self.generators = list(generators)
-        self.names = names
-        self.degrees = tuple(deg for _, deg in generators)
-        self.kind = kind
-        self._degree_cache = {}
-        self.integrals = {}
-        for exps, value in integrals.items():
-            exps = tuple(exps)
-            if self._degree_of(exps) != dim:
+            degree = {e + (i,): d + i * deg for e, d in degree.items()
+                      for i in range((dim - d) // deg + 1)}
+        table = {tuple(e): _as_fraction(v) for e, v in integrals.items()}
+        for exps in table:
+            if degree.get(exps) != dim:
                 raise DomainError("integration entry %s is not of top degree" % (exps,))
-            self.integrals[exps] = _as_fraction(value)
-        self.tangent_chern = self.one()
-        self.preset_data = None  # filled in by the preset constructors
+        one = (0,) * len(names)
+        tangent = {tuple(e): _as_fraction(c) for e, c in (
+            {one: 1} if tangent_chern is None else tangent_chern).items()}
+        if tangent.get(one) != 1 or any(e not in degree for e in tangent):
+            raise DomainError("c(T) needs constant term 1 and degrees <= %d" % dim)
+        for field, value in (("dim", dim), ("generators", generators),
+                             ("names", names), ("kind", kind), ("degree", degree),
+                             ("integrals", table), ("preset_data", preset_data)):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "tangent_chern", GradedClass(self, tangent))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("Geometry is immutable; build a new one")
+
+    __delattr__ = __setattr__
 
     # -- class constructors ------------------------------------------------
 
@@ -153,16 +174,6 @@ class Geometry:
         exps = tuple(1 if j == i else 0 for j in range(len(self.names)))
         return GradedClass(self, {exps: Fraction(1)})
 
-    def monomial(self, exps, coefficient=1) -> "GradedClass":
-        return GradedClass(self, {tuple(exps): _as_fraction(coefficient)})
-
-    def _degree_of(self, exps) -> int:
-        cached = self._degree_cache.get(exps)
-        if cached is None:
-            cached = sum(e * d for e, d in zip(exps, self.degrees))
-            self._degree_cache[exps] = cached
-        return cached
-
     def __eq__(self, other):
         """Structural equality: same dimension, generators, intersection
         table and tangent data (independent constructions interoperate)."""
@@ -173,11 +184,11 @@ class Geometry:
                 and self.tangent_chern.coeffs == other.tangent_chern.coeffs)
 
     def __hash__(self):
-        return hash((self.dim, tuple(map(tuple, self.generators))))
+        return hash((self.dim, self.generators))
 
     def __repr__(self):
         return "Geometry(dim=%d, kind=%s, generators=%s)" % (
-            self.dim, self.kind, self.names)
+            self.dim, self.kind, list(self.names))
 
 
 class GradedClass:
@@ -192,14 +203,8 @@ class GradedClass:
 
     def __init__(self, geometry, coeffs):
         self.geometry = geometry
-        clean = {}
-        for exps, c in coeffs.items():
-            if not c:
-                continue
-            if geometry._degree_of(exps) > geometry.dim:
-                continue
-            clean[exps] = c
-        self.coeffs = clean
+        degree = geometry.degree
+        self.coeffs = {e: c for e, c in coeffs.items() if c and e in degree}
 
     # -- structure ----------------------------------------------------------
 
@@ -218,7 +223,7 @@ class GradedClass:
         return not self.coeffs
 
     def degrees_present(self):
-        return sorted({self.geometry._degree_of(e) for e in self.coeffs})
+        return sorted({self.geometry.degree[e] for e in self.coeffs})
 
     def _check_same_geometry(self, other):
         if self.geometry is not other.geometry and self.geometry != other.geometry:
@@ -255,12 +260,12 @@ class GradedClass:
                                {e: v * c for e, v in self.coeffs.items()})
         self._check_same_geometry(other)
         geom = self.geometry
-        n = geom.dim
+        n, degree = geom.dim, geom.degree
         out = {}
         for e1, c1 in self.coeffs.items():
-            d1 = geom._degree_of(e1)
+            d1 = degree[e1]
             for e2, c2 in other.coeffs.items():
-                if d1 + geom._degree_of(e2) > n:
+                if d1 + degree[e2] > n:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
@@ -302,29 +307,24 @@ class GradedClass:
             raise DomainError("component degree must be >= 0")
         geom = self.geometry
         return GradedClass(geom, {e: c for e, c in self.coeffs.items()
-                                  if geom._degree_of(e) == q})
+                                  if geom.degree[e] == q})
 
     def integrate(self) -> Fraction:
         """Pair the top-degree part against the intersection table."""
-        geom = self.geometry
-        total = Fraction(0)
-        for exps, c in self.coeffs.items():
-            if geom._degree_of(exps) == geom.dim:
-                entry = geom.integrals.get(exps)
-                if entry is not None:
-                    total += c * entry
-        return total
+        coeffs = self.coeffs
+        return sum((c * coeffs[e] for e, c in self.geometry.integrals.items()
+                    if e in coeffs), Fraction(0))
 
     def scale_degrees(self, t) -> "GradedClass":
         """Multiply each degree-q component by t**q."""
         geom = self.geometry
-        return GradedClass(geom, {e: c * t ** geom._degree_of(e)
+        return GradedClass(geom, {e: c * t ** geom.degree[e]
                                   for e, c in self.coeffs.items()})
 
     def dual(self) -> "GradedClass":
         """Total Chern class of the dual bundle: degree-q part times (-1)^q."""
         geom = self.geometry
-        return GradedClass(geom, {e: c if geom._degree_of(e) % 2 == 0 else -c
+        return GradedClass(geom, {e: c if geom.degree[e] % 2 == 0 else -c
                                   for e, c in self.coeffs.items()})
 
     # -- comparison and display ----------------------------------------------
@@ -344,7 +344,7 @@ class GradedClass:
     def _sorted_terms(self):
         geom = self.geometry
         return sorted(self.coeffs.items(),
-                      key=lambda item: (geom._degree_of(item[0]), item[0]))
+                      key=lambda item: (geom.degree[item[0]], item[0]))
 
     def __str__(self):
         """Canonical text form: terms by (degree, lex), e.g. "1 + 3 h + 6 h^2"."""
@@ -376,11 +376,9 @@ class GradedClass:
 def projective_space(n) -> Geometry:
     """Projective n-space: one degree-1 generator h, int h^n = 1,
     c(T) = (1+h)^(n+1) truncated."""
-    geom = Geometry(n, [("h", 1)], {(n,): Fraction(1)}, kind="projective")
-    geom.tangent_chern = GradedClass(
-        geom, {(q,): Fraction(math.comb(n + 1, q)) for q in range(n + 1)})
-    geom.preset_data = {"preset": "P%d" % n if n == 2 else "Pn", "n": n}
-    return geom
+    return Geometry(n, [("h", 1)], {(n,): 1}, kind="projective",
+                    tangent_chern={(q,): math.comb(n + 1, q) for q in range(n + 1)},
+                    preset_data={"preset": "P%d" % n if n == 2 else "Pn", "n": n})
 
 
 def abelian_variety(n, selfint=None, names=None, pairing=None) -> Geometry:
@@ -393,11 +391,10 @@ def abelian_variety(n, selfint=None, names=None, pairing=None) -> Geometry:
         names = names or ["D"]
         if len(names) != 1:
             raise DomainError("selfint form takes a single generator")
-        geom = Geometry(n, [(names[0], 1)], {(n,): _as_fraction(selfint)},
-                        kind="abelian")
-        geom.preset_data = {"preset": "abelian", "n": n,
-                            "selfint": str(Fraction(selfint))}
-        return geom
+        selfint = _as_fraction(selfint)
+        return Geometry(n, [(names[0], 1)], {(n,): selfint}, kind="abelian",
+                        preset_data={"preset": "abelian", "n": n,
+                                     "selfint": str(selfint)})
     if pairing is None:
         raise DomainError("abelian preset needs selfint or a pairing matrix")
     if n != 2:
@@ -416,11 +413,10 @@ def abelian_variety(n, selfint=None, names=None, pairing=None) -> Geometry:
             exps[i] += 1
             exps[j] += 1
             integrals[tuple(exps)] = vij
-    geom = Geometry(2, [(nm, 1) for nm in names], integrals, kind="abelian")
-    geom.preset_data = {"preset": "abelian", "n": 2, "generators": names,
-                        "pairing": [[str(_as_fraction(v)) for v in row]
-                                    for row in pairing]}
-    return geom
+    return Geometry(2, [(nm, 1) for nm in names], integrals, kind="abelian",
+                    preset_data={"preset": "abelian", "n": 2, "generators": names,
+                                 "pairing": [[str(_as_fraction(v)) for v in row]
+                                             for row in pairing]})
 
 
 def surface_with_invariants(c2, divisors=("D",), kk=0, kd=None, dd=None) -> Geometry:
@@ -454,10 +450,10 @@ def surface_with_invariants(c2, divisors=("D",), kk=0, kd=None, dd=None) -> Geom
             if _as_fraction(dd[i][j]) != _as_fraction(dd[j][i]):
                 raise DomainError("dd matrix must be symmetric")
             integrals[exp((1 + i, 1), (1 + j, 1))] = _as_fraction(dd[i][j])
-    geom = Geometry(2, gens, integrals, kind="surface")
-    geom.tangent_chern = (geom.one() - geom.generator("K")) + geom.generator("e")
-    geom.preset_data = {
+    preset_data = {
         "preset": "surface", "c2": str(_as_fraction(c2)), "divisors": divisors,
         "kk": str(_as_fraction(kk)), "kd": [str(_as_fraction(v)) for v in kd],
         "dd": [[str(_as_fraction(v)) for v in row] for row in dd]}
-    return geom
+    return Geometry(2, gens, integrals, kind="surface",
+                    tangent_chern={exp(): 1, exp((0, 1)): -1, exp((ngen - 1, 1)): 1},
+                    preset_data=preset_data)

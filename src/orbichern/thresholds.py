@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .harmonic import diagonal_coefficient, harmonic_squares
+from .harmonic import diagonal_coefficient, harmonic_range
 from .orbifold import OrbifoldPair, chi_k
 from .ring import projective_space
 
@@ -171,9 +171,8 @@ def _verify_last_range(d_start: int, a: int) -> None:
         raise AssertionError("order %d does not stay positive past d=%d" % (a, d_start))
     if not _order2_admissible(d_start, a):
         raise AssertionError("order %d not admissible at d=%d" % (a, d_start))
-    for aa in range(2, a):
-        if aa == 2:
-            continue  # (1 - 2/2) d = 0 is never > 3: order 2 stays inadmissible
+    # from 3 on: (1 - 2/2) d = 0 is never > 3, so order 2 stays inadmissible
+    for aa in range(3, a):
         if not negative_from(quad_in_d(aa), d_start):
             raise AssertionError("order %d works somewhere past d=%d" % (aa, d_start))
 
@@ -279,7 +278,7 @@ def _zeta2_enclosure(N: int):
     1/(6 j^3 (j+1)^3) and 1/(j^3 (j+1)^3) <= (j^-5 - (j+1)^-5)/5, so
     telescoping gives g(N) - 1/(30 N^5) < sum_{j>N} 1/j^2 < g(N).
     """
-    hi = harmonic_squares(N) + Fraction(6 * N * N - 3 * N + 1, 6 * N ** 3)
+    hi = harmonic_range(1, N, 2) + Fraction(6 * N * N - 3 * N + 1, 6 * N ** 3)
     return hi - Fraction(1, 30 * N ** 5), hi
 
 

@@ -41,8 +41,8 @@ def random_class(geom, rng: random.Random, unit=False) -> GradedClass:
         budget = rng.randint(0, geom.dim)
         for _ in range(budget):
             i = rng.randrange(ngen)
-            if geom._degree_of(tuple(e + (1 if j == i else 0)
-                                     for j, e in enumerate(exps))) <= geom.dim:
+            if tuple(e + (1 if j == i else 0)
+                     for j, e in enumerate(exps)) in geom.degree:
                 exps[i] += 1
         coeffs[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
     cls = GradedClass(geom, coeffs)
@@ -53,4 +53,4 @@ def random_class(geom, rng: random.Random, unit=False) -> GradedClass:
 
 def assert_truncated(cls: GradedClass):
     for exps in cls.coeffs:
-        assert cls.geometry._degree_of(exps) <= cls.geometry.dim
+        assert exps in cls.geometry.degree  # weighted degree <= dim

@@ -249,6 +249,16 @@ def test_exactness_threshold_names_the_cli_flag(p2_file):
     assert "k <= 10000" in err and "--float" in err and "numeric" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_leading_past_exact_limit_points_to_chi_float(p2_file, flags):
+    # leading has no numeric path: --float changes only its printing
+    code, out, err = invoke(["leading", "--pair", p2_file, "--k", "20000"]
+                            + flags)
+    assert code == 3 and out == ""
+    assert "exact only" in err and "k <= 10000" in err and "chi --float" in err
+    assert "numeric=True" not in err and "pass --float" not in err
+
+
 @pytest.mark.parametrize("m_max", ["1", "0", "-5"])
 def test_k3scan_below_first_coefficient_is_domain_error(m_max):
     code, out, err = invoke(["k3scan", "--m-max", m_max])
@@ -277,6 +287,14 @@ def test_failed_write_exits_1(exc, message):
     err = io.StringIO()
     assert run(["table1"], out=FailingStream(exc), err=err) == 1
     assert err.getvalue() == message
+
+
+@pytest.mark.parametrize("argv", [["minmult", "--d", "3"], ["chi", "--bogus"]],
+                         ids=["domain-error", "usage-error"])
+def test_failing_err_exits_1(argv):
+    # the error report itself cannot be written; run() still returns
+    err = FailingStream(OSError(errno.ENOSPC, "No space left on device"))
+    assert run(argv, out=io.StringIO(), err=err) == 1
 
 
 def test_exact_chi_prints_past_int_digit_limit(p2_file):
@@ -516,10 +534,13 @@ def test_closed_pipe_before_first_write_exits_1_quietly(buffered):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="needs a device that refuses every write")
-@pytest.mark.parametrize("buffered", [True, False],
-                         ids=["buffered", "unbuffered"])
-def test_full_device_exits_1_with_message(buffered):
+@pytest.mark.parametrize("argv, buffered", [
+    (["table1"], True), (["table1"], False),
+    # argparse swallows a failed write of its own; run() must still see it
+    (["pieri", "--help"], True), (["pieri", "--help"], False),
+], ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered"])
+def test_full_device_exits_1_with_message(argv, buffered):
     with open("/dev/full", "wb") as full:
-        result = run_main(["table1"], stdout=full, buffered=buffered)
+        result = run_main(argv, stdout=full, buffered=buffered)
     assert result.returncode == 1
     assert result.stderr == b"error: [Errno 28] No space left on device\n"

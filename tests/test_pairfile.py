@@ -79,10 +79,25 @@ def test_round_trip_preserves_chi():
         '{"geometry": {"preset": "surface", "c2": 24, "divisors": ["D"],'
         '  "kk": 0, "kd": [0], "dd": [[6]]},'
         ' "components": [{"class": "D", "mult": "7/2"}]}',
+        '{"geometry": {"preset": "Pn", "n": 1},'
+        ' "components": [{"degree": 3, "mult": "5/2"}]}',
+        '{"geometry": {"preset": "Pn", "n": 4},'
+        ' "components": [{"degree": 6, "mult": "4"}, {"degree": 1, "mult": "inf"}]}',
+        '{"geometry": {"preset": "abelian", "n": 3, "selfint": "12/5"},'
+        ' "components": [{"mult": "3"}]}',
+        '{"geometry": {"preset": "abelian", "n": 2, "generators": ["D1", "D2"],'
+        '  "pairing": [[2, 1], [1, "1/2"]]},'
+        ' "components": [{"class": "D1", "mult": "2"},'
+        '  {"class": {"D1": 1, "D2": "1/3"}, "mult": "inf"}]}',
+        '{"geometry": {"preset": "surface", "c2": "7/3", "divisors": ["A", "B"],'
+        '  "kk": 1, "kd": [2, -1], "dd": [[6, 2], [2, "-1/2"]]},'
+        ' "components": [{"class": "A", "mult": "5"},'
+        '  {"class": {"A": 1, "B": 2}, "mult": "inf"}]}',
     ]
     for text in texts:
         pair = parse_pair(text)
         again = parse_pair(serialize_pair(pair))
+        assert again.geometry == pair.geometry
         for k in range(1, 6):
             assert chi_k(pair, k) == chi_k(again, k)
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from orbichern.errors import DomainError, GeometryMismatch, NonUnitError
-from orbichern.ring import (Multiplicity, abelian_variety, projective_space,
+from orbichern.ring import (Geometry, GradedClass, Multiplicity,
+                            abelian_variety, projective_space,
                             surface_with_invariants)
 
 from conftest import assert_truncated, random_class
@@ -180,3 +181,89 @@ def test_c2_class_is_independent_data():
 def test_exact_ring_rejects_floats(p2):
     with pytest.raises(TypeError):
         p2.scalar(0.5)
+
+
+# -- the immutable Geometry --------------------------------------------------
+
+GEOMETRY_FIELDS = ("dim", "generators", "names", "kind", "degree", "integrals",
+                   "tangent_chern", "preset_data")
+
+
+def _frozen_cases():
+    return [projective_space(1), projective_space(2), projective_space(4),
+            abelian_variety(3, selfint=2),
+            abelian_variety(2, names=["A", "B"], pairing=[[0, 1], [1, 0]]),
+            surface_with_invariants(c2=24, divisors=["D1", "D2"],
+                                    dd=[[1, 0], [0, 1]]),
+            Geometry(2, [("x", 1), ("y", 1)], {(1, 1): 1})]
+
+
+@pytest.mark.parametrize("geom", _frozen_cases(), ids=repr)
+def test_geometry_fields_cannot_be_assigned(geom):
+    for field in GEOMETRY_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(geom, field, getattr(geom, field))
+        with pytest.raises(AttributeError):
+            delattr(geom, field)
+    with pytest.raises(AttributeError):
+        geom.extra = 1
+    with pytest.raises(AttributeError):  # the rescaling that once changed chi
+        geom.tangent_chern = geom.tangent_chern * 2
+    assert isinstance(geom.generators, tuple) and isinstance(geom.names, tuple)
+    assert repr(geom).endswith("generators=%s)" % list(geom.names))
+
+
+@pytest.mark.parametrize("geom", _frozen_cases(), ids=repr)
+def test_degree_table_holds_a_dense_class(geom):
+    for exps, deg in geom.degree.items():
+        assert deg == sum(e * d for e, (_, d) in zip(exps, geom.generators))
+        assert len(exps) == len(geom.names) and 0 <= deg <= geom.dim
+    dense = geom.one()
+    for name in geom.names:
+        dense = dense + geom.generator(name)
+    assert set((dense ** geom.dim).coeffs) == set(geom.degree)
+
+
+def test_class_keeps_only_nonzero_terms_of_the_degree_table(k3_like):
+    # K^3 and K e are above degree 2; (1, 0) has the wrong length
+    terms = {(0, 0, 0): 0, (1, 0, 0): 2, (3, 0, 0): 1, (1, 0, 1): 5,
+             (0, 1, 0): Fraction(1, 2), (1, 0): 7, (0, 0, 1): 3}
+    cls = GradedClass(k3_like, terms)
+    assert cls.coeffs == {(1, 0, 0): 2, (0, 1, 0): Fraction(1, 2), (0, 0, 1): 3}
+    assert cls.degrees_present() == [1, 2]
+
+
+@pytest.mark.parametrize("tangent", [
+    {(0,): 2, (1,): 3},          # constant term 2
+    {(1,): 3},                   # no constant term
+    {(0,): 1, (3,): 1},          # a term above degree 2
+    {(0,): 1, (1, 0): 1},        # a tuple of the wrong length
+])
+def test_tangent_chern_is_checked(tangent):
+    with pytest.raises(DomainError):
+        Geometry(2, [("h", 1)], {(2,): 1}, tangent_chern=tangent)
+
+
+@pytest.mark.parametrize("dim, generators, integrals", [
+    (1, [("p", 1)], {(1, 0): 1}),
+    (2, [("a", 1), ("b", 1)], {(3, -1): 1}),
+    (2, [("a", 1), ("b", 1)], {(1, 0): 1}),
+    (2, [("a", 1), ("e", 2)], {(0, 2): 1}),
+])
+def test_integral_keys_must_be_top_degree_tuples(dim, generators, integrals):
+    with pytest.raises(DomainError):
+        Geometry(dim, generators, integrals)
+
+
+def test_geometry_defaults_and_hashing():
+    geom = Geometry(2, [("h", 1)], {(2,): 1})
+    assert geom.tangent_chern == 1 and geom.preset_data is None
+    assert geom.kind == "custom"
+    again = Geometry(2, [["h", 1]], {(2,): Fraction(1)})
+    assert again == geom and hash(again) == hash(geom)
+    assert {geom: "x"}[again] == "x" and len({geom, again}) == 1
+    assert projective_space(3) == projective_space(3)
+    assert len({projective_space(3), projective_space(3)}) == 1
+    with_c = Geometry(2, [("h", 1)], {(2,): 1},
+                      tangent_chern={(0,): 1, (1,): 3, (2,): 3})
+    assert with_c != geom and with_c == projective_space(2)
