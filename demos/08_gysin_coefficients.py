@@ -2,10 +2,10 @@
 """Flag-bundle Gysin coefficients on abelian varieties.
 
 kappa(lam) scales the top Segre number of the line bundle attached to a
-partition lam; it is extracted as one coefficient of a signed polynomial.
-A positive defect (descents before the last slot) pushes the target monomial
-past the polynomial degree, so only constant partitions survive: the tensor
-powers of the canonical bundle.
+partition lam.  A positive defect (descents before the last slot) pushes the
+target monomial past the polynomial degree, so only constant partitions
+survive: the tensor powers of the canonical bundle.  On those the Frobenius
+formula gives the closed form kappa(c^n) = c^n.
 """
 
 from itertools import combinations_with_replacement

@@ -212,8 +212,8 @@ def _cmd_k3scan(args, out):
 
 
 def _cmd_gysin(args, out):
+    kappa = gysin_coefficient(args.n, args.lam)  # checks the cap first
     data = jump_data(args.n, args.lam)
-    kappa = gysin_coefficient(args.n, args.lam)
     row = (str(data.defect), _fmt(kappa, args.float))
     _emit([row], ["defect", "coefficient"], args.format, out)
     return 0
@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table")
         p.add_argument("--float", action="store_true",
                        help="binary64 evaluation and 12-digit printing")
-        p.add_argument("--parallel", type=int, default=1, metavar="W",
-                       help="accepted for compatibility; has no effect")
         if pair:
             p.add_argument("--pair", required=True, metavar="FILE",
                            help="JSON pair description")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import DomainError, GeometryMismatch, NonUnitError
 
@@ -118,7 +119,8 @@ class Geometry:
         The JSON geometry object a preset was built from, or None.
 
     `degree` maps every exponent tuple of weighted degree <= n to its degree.
-    Every field is set here: assigning to a Geometry raises AttributeError.
+    Every field is set here: assigning to a Geometry raises AttributeError,
+    and `degree`, `integrals` and `tangent_chern.coeffs` are read-only.
     """
 
     __slots__ = ("dim", "generators", "names", "kind", "degree", "integrals",
@@ -138,7 +140,9 @@ class Geometry:
                 raise DomainError("generator %s has degree %s, want 1 or 2" % (name, deg))
             degree = {e + (i,): d + i * deg for e, d in degree.items()
                       for i in range((dim - d) // deg + 1)}
-        table = {tuple(e): _as_fraction(v) for e, v in integrals.items()}
+        degree = MappingProxyType(degree)
+        table = MappingProxyType({tuple(e): _as_fraction(v)
+                                  for e, v in integrals.items()})
         for exps in table:
             if degree.get(exps) != dim:
                 raise DomainError("integration entry %s is not of top degree" % (exps,))
@@ -152,6 +156,7 @@ class Geometry:
                              ("integrals", table), ("preset_data", preset_data)):
             object.__setattr__(self, field, value)
         object.__setattr__(self, "tangent_chern", GradedClass(self, tangent))
+        self.tangent_chern.coeffs = MappingProxyType(self.tangent_chern.coeffs)
 
     def __setattr__(self, name, *value):
         raise AttributeError("Geometry is immutable; build a new one")

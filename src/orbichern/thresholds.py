@@ -177,7 +177,7 @@ def _verify_last_range(d_start: int, a: int) -> None:
             raise AssertionError("order %d works somewhere past d=%d" % (aa, d_start))
 
 
-def table1(d_max: int = 300, workers: int = 1) -> list[TableRow]:
+def table1(d_max: int = 300) -> list[TableRow]:
     """Ranges of degrees sharing a minimal ramification order, exhaustively
     for 12 <= d <= d_max, plus a root-bound proof that the last range is
     unbounded.
@@ -188,7 +188,6 @@ def table1(d_max: int = 300, workers: int = 1) -> list[TableRow]:
     f.  The sweep must reach the range proven unbounded: its last row must
     have the limiting order, the smallest a >= 3 at which the d^2 coefficient
     2a^2 - 12a + 12 of 4 a^2 chi_2 is positive, or DomainError is raised.
-    `workers` is accepted for compatibility and ignored.
     """
     starts = []  # (first degree, a_min) of each row
     for d in range(12, d_max + 1):

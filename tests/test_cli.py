@@ -234,6 +234,13 @@ def test_exit_code_domain_error():
     assert code == 3 and "degree" in err
 
 
+def test_gysin_cap_is_checked_before_any_work():
+    # a 10^30-slot padding would overflow; the cap is checked first
+    code, out, err = invoke(["gysin", "--n", str(10 ** 30), "--lambda", "1"])
+    assert code == 3 and out == ""
+    assert "dimension capped at 6" in err
+
+
 def test_exactness_threshold_needs_float_flag(abelian_file):
     code, _, err = invoke(["chi", "--pair", abelian_file, "--k", "20000"])
     assert code == 3 and "numeric" in err
@@ -322,6 +329,7 @@ def test_exact_chi_prints_past_int_digit_limit(p2_file):
     ["chi", "--pair", "unused.json", "--k", "two"],
     ["gysin", "--n", "3", "--lambda", "2,x"],
     ["pieri", "--degrees", "1,,a"],
+    ["table1", "--parallel", "1"],  # the no-op flag is gone
 ])
 def test_exit_code_malformed_argument(argv):
     code, out, err = invoke(argv)
@@ -368,13 +376,6 @@ def test_output_is_deterministic(p2_file):
     first = invoke(["table1", "--format", "csv"])
     second = invoke(["table1", "--format", "csv"])
     assert first == second
-
-
-def test_parallel_workers_do_not_change_output():
-    for cmd in (["table1"], ["lines"], ["k3scan", "--m-max", "40"]):
-        _, serial, _ = invoke(cmd + ["--format", "csv", "--parallel", "1"])
-        _, parallel, _ = invoke(cmd + ["--format", "csv", "--parallel", "4"])
-        assert serial == parallel
 
 
 # Every command pays for what `orbichern.cli` imports; none needs these.

@@ -1,10 +1,14 @@
+import io
+import math
+import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from orbichern.cli import run
 from orbichern.errors import DomainError
-from orbichern.gysin import (gysin_coefficient, jump_data,
+from orbichern.gysin import (_target_exponents, gysin_coefficient, jump_data,
                              shifted_target_degree)
 
 F = Fraction
@@ -100,3 +104,90 @@ def test_gysin_line_bundle_magnitude():
 def test_gysin_dimension_cap():
     with pytest.raises(DomainError):
         gysin_coefficient(7, (1,) * 7)
+
+
+# -- the closed form against the full expansion -------------------------------
+
+def _kappa_by_expansion(n, lam):
+    """kappa(lam) as the coefficient of the shifted target in
+    (sum lam_i t_i)^n * prod_{i<j} (t_i - t_j): the multinomial expansion of
+    the power convolved against the signed permutation expansion of the
+    Vandermonde product, in integers, over all n! permutations."""
+    data = jump_data(n, lam)
+    target = _target_exponents(data)
+    total = 0
+    nfact = math.factorial(n)
+    for sigma in permutations(range(n)):
+        # Vandermonde term: sign(sigma) * prod t_i^(n - 1 - sigma(i)).
+        alpha = [target[i] - (n - 1 - sigma[i]) for i in range(n)]
+        if any(a < 0 for a in alpha) or sum(alpha) != n:
+            continue
+        coeff = nfact
+        for a in alpha:
+            coeff //= math.factorial(a)
+        term = coeff
+        for lam_i, a in zip(data.padded, alpha):
+            term *= lam_i ** a
+        total += _permutation_sign(sigma) * term
+    return total
+
+
+def _permutation_sign(sigma):
+    sign = 1
+    seen = [False] * len(sigma)
+    for i in range(len(sigma)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = sigma[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_expansion_hand_values():
+    assert _kappa_by_expansion(2, (1, 1)) == 1
+    assert _kappa_by_expansion(2, (2, 1)) == 0
+    assert _kappa_by_expansion(3, (2, 2, 2)) == 8
+    assert _kappa_by_expansion(3, ()) == 0
+    assert [_permutation_sign(s) for s in permutations(range(3))] == \
+        [1, -1, -1, 1, 1, -1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_matches_expansion_exhaustive(n):
+    for lam in partitions_up_to(n, 4):
+        kappa = gysin_coefficient(n, lam)
+        assert type(kappa) is Fraction
+        assert kappa == _kappa_by_expansion(n, lam), (n, lam)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_closed_form_holds_past_the_cap(n):
+    # the expansion on sampled partitions, constant ones included, against
+    # the value gysin_coefficient would return without MAX_DIMENSION
+    rng = random.Random(9000 + n)
+    shapes = [(), (1,) * n, (3,) * n]
+    while len(shapes) < 8:
+        length = rng.randint(1, n)
+        shapes.append(tuple(sorted((rng.randint(1, 4) for _ in range(length)),
+                                   reverse=True)))
+    for lam in shapes:
+        data = jump_data(n, lam)
+        closed = 0 if data.defect else data.padded[0] ** n
+        assert _kappa_by_expansion(n, lam) == closed, (n, lam)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cli_prints_the_expansion(n):
+    for lam in partitions_up_to(n, 3):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["gysin", "--n", str(n), "--lambda",
+                ",".join(map(str, lam)) or "0", "--format", "csv"]
+        assert run(argv, out=out, err=err) == 0, err.getvalue()
+        assert out.getvalue() == "defect,coefficient\n%d,%d\n" % (
+            jump_data(n, lam).defect, _kappa_by_expansion(n, lam))

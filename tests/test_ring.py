@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from orbichern.errors import DomainError, GeometryMismatch, NonUnitError
+from orbichern.orbifold import chi_k
+from orbichern.pairfile import parse_pair
 from orbichern.ring import (Geometry, GradedClass, Multiplicity,
                             abelian_variety, projective_space,
                             surface_with_invariants)
@@ -211,6 +213,30 @@ def test_geometry_fields_cannot_be_assigned(geom):
         geom.tangent_chern = geom.tangent_chern * 2
     assert isinstance(geom.generators, tuple) and isinstance(geom.names, tuple)
     assert repr(geom).endswith("generators=%s)" % list(geom.names))
+
+
+@pytest.mark.parametrize("geom", _frozen_cases(), ids=repr)
+def test_geometry_tables_are_read_only(geom):
+    for table in (geom.degree, geom.integrals, geom.tangent_chern.coeffs):
+        key = next(iter(table))
+        with pytest.raises(TypeError):
+            table[key] = 2
+        with pytest.raises(TypeError):
+            del table[key]
+        with pytest.raises(AttributeError):
+            table.clear()
+
+
+def test_in_place_table_edits_cannot_change_chi():
+    # the README pair: P2, one curve of degree 12 and multiplicity 107
+    pair = parse_pair('{"geometry": {"preset": "P2"},'
+                      ' "components": [{"degree": 12, "mult": "107"}]}')
+    geom = pair.geometry
+    with pytest.raises(TypeError):  # would make chi_2 222/11449
+        geom.integrals[(2,)] = 2
+    with pytest.raises(TypeError):  # would make chi_2 6743493/91592
+        geom.tangent_chern.coeffs[(0,)] = 2
+    assert chi_k(pair, 2) == Fraction(111, 11449)
 
 
 @pytest.mark.parametrize("geom", _frozen_cases(), ids=repr)

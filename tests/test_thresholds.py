@@ -75,10 +75,6 @@ def test_table1_row_lookups():
     assert rows[61].a_min == 6 and rows[61].d_hi == 245
 
 
-def test_table1_parallel_is_scheduling_independent():
-    assert table1(workers=4) == table1()
-
-
 @pytest.mark.parametrize("c,expected", [(4, 11), (5, 6), (6, 4), (7, 3),
                                         (8, 2), (11, 1)])
 def test_line_arrangement_reference_thresholds(c, expected):
