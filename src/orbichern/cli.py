@@ -162,42 +162,39 @@ def _range_label(row):
     return "%d-%d" % (row.d_lo, row.d_hi)
 
 
+_THRESHOLD_COLUMNS = ["parameter", "minimal_value", "chi_at_min", "chi_below_min"]
+
+
+def _threshold_row(parameter, rec, as_float):
+    """A _THRESHOLD_COLUMNS row.  rec is a ThresholdRecord or a TableRow, both
+    ending in (minimal value, chi at it, chi just below it), or None when no
+    threshold exists."""
+    if rec is None:
+        return (str(parameter), "none", "-", "-")
+    minimal, at_min, below_min = rec[-3:]
+    return (str(parameter), str(minimal), _fmt(at_min, as_float),
+            _fmt(below_min, as_float))
+
+
 def _cmd_table1(args, out):
-    rows = thresholds.table1()
-    data = [(_range_label(r), str(r.a_min), _fmt(r.chi_at_min, args.float),
-             _fmt(r.chi_below_min, args.float))
-            for r in rows]
-    _emit(data, ["parameter", "minimal_value", "chi_at_min", "chi_below_min"],
-          args.format, out)
+    data = [_threshold_row(_range_label(r), r, args.float)
+            for r in thresholds.table1()]
+    _emit(data, _THRESHOLD_COLUMNS, args.format, out)
     return 0
 
 
 def _cmd_minmult(args, out):
     rec = thresholds.min_multiplicity_for_degree(args.d)
-    if rec is None:
-        row = (str(args.d), "none", "-", "-")
-    else:
-        row = (str(rec.parameter), str(rec.minimal_value),
-               _fmt(rec.chi_at_min, args.float),
-               _fmt(rec.chi_below_min, args.float))
-    _emit([row], ["parameter", "minimal_value", "chi_at_min", "chi_below_min"],
+    _emit([_threshold_row(args.d, rec, args.float)], _THRESHOLD_COLUMNS,
           args.format, out)
     return 0
 
 
 def _cmd_lines(args, out):
     cs = [args.c] if args.c is not None else list(range(4, args.c_max + 1))
-    data = []
-    for c in cs:
-        rec = thresholds.line_arrangement_threshold(c)
-        if rec is None:
-            data.append((str(c), "none", "-", "-"))
-        else:
-            data.append((str(c), str(rec.minimal_value),
-                         _fmt(rec.chi_at_min, args.float),
-                         _fmt(rec.chi_below_min, args.float)))
-    _emit(data, ["parameter", "minimal_value", "chi_at_min", "chi_below_min"],
-          args.format, out)
+    data = [_threshold_row(c, thresholds.line_arrangement_threshold(c), args.float)
+            for c in cs]
+    _emit(data, _THRESHOLD_COLUMNS, args.format, out)
     return 0
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DomainError
+
 # Euler-Maclaurin (derivative order 2p - 1, B_2p / (2p)!) for p = 1..6.
 _EULER_MACLAURIN = [(o, Fraction(b) / math.factorial(o + 1)) for o, b in zip(
     (1, 3, 5, 7, 9, 11), ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730"))]
@@ -57,6 +59,6 @@ def diagonal_coefficient(m) -> Fraction:
     m = 4 and first becomes positive at m = 5.
     """
     if m < 2:
-        raise ValueError("defined for integers m >= 2, got %s" % m)
+        raise DomainError("m must be an integer >= 2")
     s1, s2 = harmonic_range(2, m, 1), harmonic_range(2, m, 2)
     return (s1 * s1 - s2) / 2 - Fraction(m - 1, 2 * m)  # pair sum (s1^2 - s2)/2

@@ -34,7 +34,7 @@ from typing import NamedTuple, Optional
 
 from .errors import DomainError, GeometryMismatch
 from .harmonic import diagonal_coefficient, harmonic_range
-from .ring import INFINITE_ORDER, Geometry, GradedClass, Multiplicity
+from .ring import INFINITE_ORDER, Geometry, GradedClass, Multiplicity, _immutable
 
 #: Largest order for which chi is evaluated in exact arithmetic; the
 #: harmonic-type rationals involved grow super-polynomially beyond this.
@@ -66,10 +66,12 @@ class ChiReport(NamedTuple):
 
 
 class OrbifoldPair:
-    """A geometry plus boundary components (divisor class, multiplicity)."""
+    """A geometry plus a tuple of checked boundary components (divisor class,
+    multiplicity); immutable, like both of them."""
+
+    __slots__ = ("geometry", "components")
 
     def __init__(self, geometry: Geometry, components):
-        self.geometry = geometry
         comps = []
         for divisor, mult in components:
             if divisor.geometry is not geometry and divisor.geometry != geometry:
@@ -77,18 +79,18 @@ class OrbifoldPair:
             if divisor.degrees_present() not in ([], [1]):
                 raise DomainError("component class must be homogeneous of degree 1")
             comps.append(BoundaryComponent(divisor, Multiplicity.parse(mult)))
-        self.components = comps
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "components", tuple(comps))
+
+    __setattr__ = __delattr__ = _immutable
 
     def with_component(self, divisor, mult) -> "OrbifoldPair":
-        return OrbifoldPair(self.geometry,
-                            [(c.divisor, c.multiplicity) for c in self.components]
-                            + [(divisor, mult)])
+        return OrbifoldPair(self.geometry, self.components + ((divisor, mult),))
 
     def logarithmic_part(self) -> "OrbifoldPair":
         """The sub-pair of infinite-multiplicity components."""
-        return OrbifoldPair(self.geometry,
-                            [(c.divisor, c.multiplicity) for c in self.components
-                             if c.multiplicity.is_infinite])
+        return OrbifoldPair(self.geometry, [c for c in self.components
+                                            if c.multiplicity.is_infinite])
 
     def stabilization_order(self) -> int:
         """Smallest j* with every finite multiplicity <= j*; classes of

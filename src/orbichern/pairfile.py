@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import PairFormatError
+from .errors import OrbichernError, PairFormatError
 from .orbifold import OrbifoldPair
 from .ring import (Geometry, Multiplicity, abelian_variety, projective_space,
                    surface_with_invariants)
@@ -186,11 +186,41 @@ def load_pair(path) -> OrbifoldPair:
         return parse_pair(fh.read())
 
 
+def _geometry_object(geom: Geometry) -> dict:
+    """The preset object read off geom's kind, dimension, generator names
+    and intersection table, rationals as text; serialize_pair checks that
+    it rebuilds geom."""
+    names, n = geom.names, geom.dim
+
+    def integral(*idx):  # of the product of the generators at positions idx
+        return str(geom.integrals.get(tuple(map(idx.count, range(len(names)))), 0))
+
+    gram = [[integral(i, j) for j in range(len(names))] for i in range(len(names))]
+    if geom.kind == "projective":
+        return {"preset": "P2" if n == 2 else "Pn", "n": n}
+    if geom.kind == "abelian" and names == ("D",):
+        return {"preset": "abelian", "n": n, "selfint": integral(*[0] * n)}
+    if geom.kind == "abelian":
+        return {"preset": "abelian", "n": n, "generators": list(names),
+                "pairing": gram}
+    if geom.kind == "surface" and names:  # generators K, the divisors, e
+        return {"preset": "surface", "c2": integral(len(names) - 1),
+                "divisors": list(names[1:-1]), "kk": gram[0][0],
+                "kd": gram[0][1:-1], "dd": [row[1:-1] for row in gram[1:-1]]}
+    raise PairFormatError("only preset geometries serialize")
+
+
 def serialize_pair(pair: OrbifoldPair) -> str:
     """Canonical JSON for a pair over a preset geometry (round-trips through
-    parse_pair)."""
+    parse_pair); the geometry object is written only if parse_geometry
+    rebuilds a geometry equal to the pair's."""
     geom = pair.geometry
-    if geom.preset_data is None:
+    data = _geometry_object(geom)
+    try:
+        same = parse_geometry(data) == geom
+    except OrbichernError:
+        same = False
+    if not same:
         raise PairFormatError("only preset geometries serialize")
     components = []
     for comp in pair.components:
@@ -206,5 +236,5 @@ def serialize_pair(pair: OrbifoldPair) -> str:
             if c:
                 cls[name] = str(c)
         components.append({"class": cls, "mult": mult})
-    return json.dumps({"geometry": geom.preset_data, "components": components},
+    return json.dumps({"geometry": data, "components": components},
                       sort_keys=True)

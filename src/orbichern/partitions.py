@@ -162,11 +162,6 @@ class SchurExpansion:
     def items(self):
         return self.terms.items()
 
-    def multiplicity(self, lam) -> int:
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return self.terms.get(lam, 0)
-
     def __eq__(self, other):
         return isinstance(other, SchurExpansion) and self.terms == other.terms
 

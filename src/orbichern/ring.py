@@ -26,6 +26,12 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _immutable(self, *args):
+    """__setattr__ and __delattr__ of the immutable value types, whose
+    __init__ sets each field once with object.__setattr__."""
+    raise AttributeError("%s is immutable; build a new one" % type(self).__name__)
+
+
 class Multiplicity:
     """Orbifold multiplicity: a rational >= 1, or infinite (logarithmic).
 
@@ -39,11 +45,9 @@ class Multiplicity:
             value = _as_fraction(value)
             if value < 1:
                 raise DomainError("multiplicity must be >= 1, got %s" % value)
-        self.value = value
+        object.__setattr__(self, "value", value)
 
-    @classmethod
-    def infinite(cls) -> "Multiplicity":
-        return cls(None)
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def parse(cls, text) -> "Multiplicity":
@@ -115,8 +119,6 @@ class Geometry:
     tangent_chern:
         c(T) as a map from exponent tuples of degree <= n to exact
         rationals, with constant term 1; None means c(T) = 1.
-    preset_data:
-        The JSON geometry object a preset was built from, or None.
 
     `degree` maps every exponent tuple of weighted degree <= n to its degree.
     Every field is set here: assigning to a Geometry raises AttributeError,
@@ -124,10 +126,10 @@ class Geometry:
     """
 
     __slots__ = ("dim", "generators", "names", "kind", "degree", "integrals",
-                 "tangent_chern", "preset_data")
+                 "tangent_chern")
 
     def __init__(self, dim, generators, integrals, kind="custom",
-                 tangent_chern=None, preset_data=None):
+                 tangent_chern=None):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise DomainError("dimension must be an integer >= 1")
         generators = tuple((name, deg) for name, deg in generators)
@@ -153,15 +155,11 @@ class Geometry:
             raise DomainError("c(T) needs constant term 1 and degrees <= %d" % dim)
         for field, value in (("dim", dim), ("generators", generators),
                              ("names", names), ("kind", kind), ("degree", degree),
-                             ("integrals", table), ("preset_data", preset_data)):
+                             ("integrals", table)):
             object.__setattr__(self, field, value)
         object.__setattr__(self, "tangent_chern", GradedClass(self, tangent))
-        self.tangent_chern.coeffs = MappingProxyType(self.tangent_chern.coeffs)
 
-    def __setattr__(self, name, *value):
-        raise AttributeError("Geometry is immutable; build a new one")
-
-    __delattr__ = __setattr__
+    __setattr__ = __delattr__ = _immutable
 
     # -- class constructors ------------------------------------------------
 
@@ -201,20 +199,21 @@ class GradedClass:
 
     Coefficients are exact rationals keyed by exponent tuples; monomials of
     total weighted degree above the geometry dimension are discarded, and
-    zero coefficients are never stored.
+    zero coefficients are never stored.  A class is immutable: `coeffs` is a
+    read-only mapping and assigning to a field raises AttributeError.
     """
 
     __slots__ = ("geometry", "coeffs")
 
     def __init__(self, geometry, coeffs):
-        self.geometry = geometry
         degree = geometry.degree
-        self.coeffs = {e: c for e, c in coeffs.items() if c and e in degree}
+        object.__setattr__(self, "geometry", geometry)
+        object.__setattr__(self, "coeffs", MappingProxyType(
+            {e: c for e, c in coeffs.items() if c and e in degree}))
+
+    __setattr__ = __delattr__ = _immutable
 
     # -- structure ----------------------------------------------------------
-
-    def items(self):
-        return self.coeffs.items()
 
     def coefficient(self, exps) -> Fraction:
         return self.coeffs.get(tuple(exps), Fraction(0))
@@ -240,7 +239,7 @@ class GradedClass:
         if not isinstance(other, GradedClass):
             other = self.geometry.scalar(other)
         self._check_same_geometry(other)
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for exps, c in other.coeffs.items():
             out[exps] = out.get(exps, 0) + c
         return GradedClass(self.geometry, out)
@@ -382,8 +381,7 @@ def projective_space(n) -> Geometry:
     """Projective n-space: one degree-1 generator h, int h^n = 1,
     c(T) = (1+h)^(n+1) truncated."""
     return Geometry(n, [("h", 1)], {(n,): 1}, kind="projective",
-                    tangent_chern={(q,): math.comb(n + 1, q) for q in range(n + 1)},
-                    preset_data={"preset": "P%d" % n if n == 2 else "Pn", "n": n})
+                    tangent_chern={(q,): math.comb(n + 1, q) for q in range(n + 1)})
 
 
 def abelian_variety(n, selfint=None, names=None, pairing=None) -> Geometry:
@@ -396,10 +394,7 @@ def abelian_variety(n, selfint=None, names=None, pairing=None) -> Geometry:
         names = names or ["D"]
         if len(names) != 1:
             raise DomainError("selfint form takes a single generator")
-        selfint = _as_fraction(selfint)
-        return Geometry(n, [(names[0], 1)], {(n,): selfint}, kind="abelian",
-                        preset_data={"preset": "abelian", "n": n,
-                                     "selfint": str(selfint)})
+        return Geometry(n, [(names[0], 1)], {(n,): selfint}, kind="abelian")
     if pairing is None:
         raise DomainError("abelian preset needs selfint or a pairing matrix")
     if n != 2:
@@ -418,10 +413,7 @@ def abelian_variety(n, selfint=None, names=None, pairing=None) -> Geometry:
             exps[i] += 1
             exps[j] += 1
             integrals[tuple(exps)] = vij
-    return Geometry(2, [(nm, 1) for nm in names], integrals, kind="abelian",
-                    preset_data={"preset": "abelian", "n": 2, "generators": names,
-                                 "pairing": [[str(_as_fraction(v)) for v in row]
-                                             for row in pairing]})
+    return Geometry(2, [(nm, 1) for nm in names], integrals, kind="abelian")
 
 
 def surface_with_invariants(c2, divisors=("D",), kk=0, kd=None, dd=None) -> Geometry:
@@ -455,10 +447,5 @@ def surface_with_invariants(c2, divisors=("D",), kk=0, kd=None, dd=None) -> Geom
             if _as_fraction(dd[i][j]) != _as_fraction(dd[j][i]):
                 raise DomainError("dd matrix must be symmetric")
             integrals[exp((1 + i, 1), (1 + j, 1))] = _as_fraction(dd[i][j])
-    preset_data = {
-        "preset": "surface", "c2": str(_as_fraction(c2)), "divisors": divisors,
-        "kk": str(_as_fraction(kk)), "kd": [str(_as_fraction(v)) for v in kd],
-        "dd": [[str(_as_fraction(v)) for v in row] for row in dd]}
     return Geometry(2, gens, integrals, kind="surface",
-                    tangent_chern={exp(): 1, exp((0, 1)): -1, exp((ngen - 1, 1)): 1},
-                    preset_data=preset_data)
+                    tangent_chern={exp(): 1, exp((0, 1)): -1, exp((ngen - 1, 1)): 1})

@@ -241,8 +241,6 @@ def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
 
 def k3_coefficient(m: int) -> Fraction:
     """Self-intersection weight sum_{2<=j1<j2<=m} 1/(j1 j2) - (m-1)/(2m)."""
-    if m < 2:
-        raise DomainError("m must be an integer >= 2")
     return diagonal_coefficient(m)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbichern.errors import DomainError
 from orbichern.harmonic import diagonal_coefficient, harmonic_range
 
 F = Fraction
@@ -65,3 +66,9 @@ def test_diagonal_coefficient_matches_double_sum():
                        for j2 in range(j1 + 1, m + 1))
         assert diagonal_coefficient(m) == pair_sum - F(m - 1, 2 * m)
     assert diagonal_coefficient(4) == 0 and diagonal_coefficient(5) > 0
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_diagonal_coefficient_domain(m):
+    with pytest.raises(DomainError):
+        diagonal_coefficient(m)

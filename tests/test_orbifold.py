@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from orbichern.errors import DomainError
-from orbichern.orbifold import (OrbifoldPair, canonical_k, chi_k,
-                                chi_leading_term,
+from orbichern.orbifold import (BoundaryComponent, OrbifoldPair, canonical_k,
+                                chi_k, chi_leading_term,
                                 chi_trivial_canonical_closed_form,
                                 cotangent_chern, cotangent_segre, delta_k,
                                 leading_scale, log_asymptotic_coefficient)
-from orbichern.ring import (INFINITE_ORDER, abelian_variety, projective_space,
-                            surface_with_invariants)
+from orbichern.ring import (INFINITE_ORDER, Multiplicity, abelian_variety,
+                            projective_space, surface_with_invariants)
 
 F = Fraction
 
@@ -131,6 +131,29 @@ def test_stabilization_at_max_finite_multiplicity():
     assert cotangent_segre(pair, 3) != cotangent_segre(log_only, 1)
     for k in (4, 5, 9):
         assert cotangent_segre(pair, k) == cotangent_segre(log_only, 1)
+
+
+def test_pair_cannot_be_edited_after_construction():
+    # the README pair; the edits below once made chi_2 12 and -56579/68694
+    pair = plane_pair((12, 107))
+    h = pair.geometry.generator("h")
+    for field in ("geometry", "components"):
+        with pytest.raises(AttributeError):
+            setattr(pair, field, getattr(pair, field))
+        with pytest.raises(AttributeError):
+            delattr(pair, field)
+    with pytest.raises(AttributeError):
+        pair.extra = 1
+    with pytest.raises(AttributeError):
+        pair.components[0].multiplicity.value = F(1, 2)
+    with pytest.raises(AttributeError):
+        pair.components.append(BoundaryComponent(h * h, Multiplicity(3)))
+    with pytest.raises(TypeError):
+        pair.components[0] = BoundaryComponent(h, Multiplicity(2))
+    assert isinstance(pair.components, tuple)
+    assert chi_k(pair, 2) == F(111, 11449)
+    wider = pair.with_component(h, 2)
+    assert isinstance(wider.components, tuple) and len(pair.components) == 1
 
 
 def test_duality_on_projective_spaces():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -7,8 +8,10 @@ import pytest
 
 from orbichern.cli import run
 from orbichern.errors import PairFormatError
-from orbichern.orbifold import chi_k
+from orbichern.orbifold import OrbifoldPair, chi_k
 from orbichern.pairfile import parse_pair, serialize_pair
+from orbichern.ring import (Geometry, abelian_variety, projective_space,
+                            surface_with_invariants)
 
 F = Fraction
 
@@ -70,31 +73,34 @@ def test_parse_rejects_unknown_generator():
     assert "components[0].class" in str(info.value)
 
 
+# Pairs over every preset grammar, including rational and negative data.
+ROUND_TRIP_TEXTS = [
+    '{"geometry": {"preset": "P2"},'
+    ' "components": [{"degree": 5, "mult": "3"}, {"degree": 2, "mult": "inf"}]}',
+    '{"geometry": {"preset": "abelian", "n": 2, "selfint": 6},'
+    ' "components": [{"mult": "5"}]}',
+    '{"geometry": {"preset": "surface", "c2": 24, "divisors": ["D"],'
+    '  "kk": 0, "kd": [0], "dd": [[6]]},'
+    ' "components": [{"class": "D", "mult": "7/2"}]}',
+    '{"geometry": {"preset": "Pn", "n": 1},'
+    ' "components": [{"degree": 3, "mult": "5/2"}]}',
+    '{"geometry": {"preset": "Pn", "n": 4},'
+    ' "components": [{"degree": 6, "mult": "4"}, {"degree": 1, "mult": "inf"}]}',
+    '{"geometry": {"preset": "abelian", "n": 3, "selfint": "12/5"},'
+    ' "components": [{"mult": "3"}]}',
+    '{"geometry": {"preset": "abelian", "n": 2, "generators": ["D1", "D2"],'
+    '  "pairing": [[2, 1], [1, "1/2"]]},'
+    ' "components": [{"class": "D1", "mult": "2"},'
+    '  {"class": {"D1": 1, "D2": "1/3"}, "mult": "inf"}]}',
+    '{"geometry": {"preset": "surface", "c2": "7/3", "divisors": ["A", "B"],'
+    '  "kk": 1, "kd": [2, -1], "dd": [[6, 2], [2, "-1/2"]]},'
+    ' "components": [{"class": "A", "mult": "5"},'
+    '  {"class": {"A": 1, "B": 2}, "mult": "inf"}]}',
+]
+
+
 def test_round_trip_preserves_chi():
-    texts = [
-        '{"geometry": {"preset": "P2"},'
-        ' "components": [{"degree": 5, "mult": "3"}, {"degree": 2, "mult": "inf"}]}',
-        '{"geometry": {"preset": "abelian", "n": 2, "selfint": 6},'
-        ' "components": [{"mult": "5"}]}',
-        '{"geometry": {"preset": "surface", "c2": 24, "divisors": ["D"],'
-        '  "kk": 0, "kd": [0], "dd": [[6]]},'
-        ' "components": [{"class": "D", "mult": "7/2"}]}',
-        '{"geometry": {"preset": "Pn", "n": 1},'
-        ' "components": [{"degree": 3, "mult": "5/2"}]}',
-        '{"geometry": {"preset": "Pn", "n": 4},'
-        ' "components": [{"degree": 6, "mult": "4"}, {"degree": 1, "mult": "inf"}]}',
-        '{"geometry": {"preset": "abelian", "n": 3, "selfint": "12/5"},'
-        ' "components": [{"mult": "3"}]}',
-        '{"geometry": {"preset": "abelian", "n": 2, "generators": ["D1", "D2"],'
-        '  "pairing": [[2, 1], [1, "1/2"]]},'
-        ' "components": [{"class": "D1", "mult": "2"},'
-        '  {"class": {"D1": 1, "D2": "1/3"}, "mult": "inf"}]}',
-        '{"geometry": {"preset": "surface", "c2": "7/3", "divisors": ["A", "B"],'
-        '  "kk": 1, "kd": [2, -1], "dd": [[6, 2], [2, "-1/2"]]},'
-        ' "components": [{"class": "A", "mult": "5"},'
-        '  {"class": {"A": 1, "B": 2}, "mult": "inf"}]}',
-    ]
-    for text in texts:
+    for text in ROUND_TRIP_TEXTS:
         pair = parse_pair(text)
         again = parse_pair(serialize_pair(pair))
         assert again.geometry == pair.geometry
@@ -227,3 +233,73 @@ def test_single_field_mutations_never_crash(tmp_path):
             assert serialize_pair(again) == serialize_pair(pair)
             assert chi_k(again, 2) == chi_k(pair, 2)
     assert {0, 2, 3} <= set(codes)
+
+
+# -- the serialized text ----------------------------------------------------
+
+def _preset_pairs():
+    """One pair over each preset geometry of the immutability tests."""
+    geometries = [projective_space(1), projective_space(2), projective_space(4),
+                  abelian_variety(3, selfint=2),
+                  abelian_variety(2, names=["A", "B"], pairing=[[0, 1], [1, 0]]),
+                  surface_with_invariants(c2=24, divisors=["D1", "D2"],
+                                          dd=[[1, 0], [0, 1]])]
+    pairs = []
+    for geom in geometries:
+        divisors = [geom.generator(name) for name, deg in geom.generators
+                    if deg == 1]
+        pairs.append(OrbifoldPair(geom, [(sum(divisors, geom.zero()), "3"),
+                                         (divisors[0], "inf")]))
+    return pairs
+
+
+# sha256 over the serialized README pairs, round-trip texts and preset pairs,
+# one per line, as recorded before the pair-file objects were derived from
+# the geometry instead of stored on it.
+SERIALIZED_SHA256 = (
+    "749fee332605ad957856b62764414dc68b7a6cb816dc0c5fa844ee58923f6f97")
+
+
+def test_serialized_text_is_pinned():
+    pairs = ([parse_pair(data) for data in README_PAIRS]
+             + [parse_pair(text) for text in ROUND_TRIP_TEXTS] + _preset_pairs())
+    text = "\n".join(serialize_pair(pair) for pair in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256
+
+
+def _serialize_one(geom):
+    divisor = geom.generator(geom.names[0])
+    return serialize_pair(OrbifoldPair(geom, [(divisor, "3")]))
+
+
+def test_named_selfint_geometry_round_trips_in_pairing_form():
+    geom = abelian_variety(2, selfint=6, names=["E"])
+    text = _serialize_one(geom)
+    assert json.loads(text)["geometry"] == {
+        "preset": "abelian", "n": 2, "generators": ["E"], "pairing": [["6"]]}
+    again = parse_pair(text)
+    assert again.geometry == geom and serialize_pair(again) == text
+
+
+def test_single_d_pairing_geometry_serializes_in_selfint_form():
+    geom = abelian_variety(2, names=["D"], pairing=[["12/5"]])
+    text = _serialize_one(geom)
+    assert json.loads(text)["geometry"] == {
+        "preset": "abelian", "n": 2, "selfint": "12/5"}
+    assert parse_pair(text).geometry == geom
+
+
+@pytest.mark.parametrize("geom", [
+    abelian_variety(3, selfint=2, names=["E"]),  # pairing form needs n = 2
+    Geometry(2, [("h", 1)], {(2,): 4}, kind="projective",
+             tangent_chern=projective_space(2).tangent_chern.coeffs),
+    Geometry(2, [("h", 1)], {(2,): 1}, kind="custom",
+             tangent_chern=projective_space(2).tangent_chern.coeffs),
+    Geometry(2, [("D", 1)], {(2,): 6}, kind="abelian",
+             tangent_chern={(0,): 1, (1,): 1}),
+    Geometry(2, [("K", 1), ("e", 2)], {(2, 0): 1}, kind="surface"),
+], ids=["abelian-n3-E", "projective-h2=4", "custom", "abelian-c1", "surface-c(T)=1"])
+def test_geometry_that_no_preset_rebuilds_does_not_serialize(geom):
+    with pytest.raises(PairFormatError) as info:
+        _serialize_one(geom)
+    assert "only preset geometries serialize" in str(info.value)

@@ -22,7 +22,7 @@ def test_multiplicity_parsing():
 
 
 def test_multiplicity_infinity_arithmetic():
-    inf = Multiplicity.infinite()
+    inf = Multiplicity(None)
     assert inf.ratio(7) == 0  # k/inf = 0
     assert inf.exceeds(10 ** 9)
     m = Multiplicity.parse("5/2")
@@ -188,7 +188,7 @@ def test_exact_ring_rejects_floats(p2):
 # -- the immutable Geometry --------------------------------------------------
 
 GEOMETRY_FIELDS = ("dim", "generators", "names", "kind", "degree", "integrals",
-                   "tangent_chern", "preset_data")
+                   "tangent_chern")
 
 
 def _frozen_cases():
@@ -283,7 +283,7 @@ def test_integral_keys_must_be_top_degree_tuples(dim, generators, integrals):
 
 def test_geometry_defaults_and_hashing():
     geom = Geometry(2, [("h", 1)], {(2,): 1})
-    assert geom.tangent_chern == 1 and geom.preset_data is None
+    assert geom.tangent_chern == 1
     assert geom.kind == "custom"
     again = Geometry(2, [["h", 1]], {(2,): Fraction(1)})
     assert again == geom and hash(again) == hash(geom)
@@ -293,3 +293,66 @@ def test_geometry_defaults_and_hashing():
     with_c = Geometry(2, [("h", 1)], {(2,): 1},
                       tangent_chern={(0,): 1, (1,): 3, (2,): 3})
     assert with_c != geom and with_c == projective_space(2)
+
+
+# -- immutable classes and multiplicities -------------------------------------
+
+def _classes(geom):
+    """Classes from every constructor and ring operation over geom."""
+    rng = random.Random(len(geom.degree))
+    a, b = random_class(geom, rng, unit=True), random_class(geom, rng)
+    return [geom.zero(), geom.one(), geom.generator(geom.names[0]),
+            geom.tangent_chern, GradedClass(geom, {}), a, a + b, a - b, -a,
+            2 - a, a * b, a * 3, a ** 2, a.inverse(), a.component(1),
+            a.scale_degrees(2), a.dual()]
+
+
+@pytest.mark.parametrize("geom", _frozen_cases(), ids=repr)
+def test_class_fields_cannot_be_assigned(geom):
+    for cls in _classes(geom):
+        for field in ("geometry", "coeffs"):
+            with pytest.raises(AttributeError):
+                setattr(cls, field, getattr(cls, field))
+            with pytest.raises(AttributeError):
+                delattr(cls, field)
+        with pytest.raises(AttributeError):
+            cls.extra = 1
+
+
+@pytest.mark.parametrize("geom", _frozen_cases(), ids=repr)
+def test_class_coeffs_are_read_only(geom):
+    for cls in _classes(geom):
+        exps = next(iter(geom.degree))
+        with pytest.raises(TypeError):
+            cls.coeffs[exps] = Fraction(1)
+        with pytest.raises(AttributeError):
+            cls.coeffs.clear()
+        with pytest.raises(AttributeError):
+            cls.coeffs.update({exps: Fraction(1)})
+
+
+def test_sum_leaves_its_operands_unchanged(p2):
+    h = p2.generator("h")
+    a, b = 1 + h, h * h
+    assert str(a + b) == "1 + h + h^2"
+    assert str(a) == "1 + h" and str(b) == "h^2"
+
+
+def test_replacing_tangent_chern_coeffs_raises():
+    # the README pair; the replacement once made chi_2 778536/11449
+    pair = parse_pair('{"geometry": {"preset": "P2"},'
+                      ' "components": [{"degree": 12, "mult": "107"}]}')
+    with pytest.raises(AttributeError):
+        pair.geometry.tangent_chern.coeffs = {(0,): Fraction(2)}
+    assert chi_k(pair, 2) == Fraction(111, 11449)
+
+
+@pytest.mark.parametrize("mult", [Multiplicity(3), Multiplicity(Fraction(7, 2)),
+                                  Multiplicity(None)], ids=str)
+def test_multiplicity_cannot_be_assigned(mult):
+    with pytest.raises(AttributeError):
+        mult.value = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        del mult.value
+    with pytest.raises(AttributeError):
+        mult.extra = 1
