@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: chi, leading, segre, canonical, table1, minmult, lines, k3scan,
-gysin, pieri, summands.  Numeric output is exact ("p/q") unless --float is
-given; --format selects table, csv or json (scan commands emit one JSON
-object per line).  Exit codes: 0 success, 1 output could not be written,
-2 malformed input, 3 domain error.
+gysin, pieri, summands.  Numeric output is exact ("p/q"); --float switches
+chi, leading, table1, minmult, lines, k3scan and gysin to binary64.  --format
+selects table, csv or json (scan commands emit one JSON object per line).
+Exit codes: 0 success, 1 output could not be written, 2 malformed input,
+3 domain error.
 
 All chi values are reported per unit covering degree.
 """
@@ -191,6 +192,8 @@ def _cmd_minmult(args, out):
 
 
 def _cmd_lines(args, out):
+    if args.c is None and args.c_max < 4:  # the scan starts at c = 4
+        raise DomainError("c-max must be an integer >= 4")
     cs = [args.c] if args.c is not None else list(range(4, args.c_max + 1))
     data = [_threshold_row(c, thresholds.line_arrangement_threshold(c), args.float)
             for c in cs]
@@ -287,11 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Characteristic-class invariants of smooth orbifold pairs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=False, k=False):
+    def common(p, pair=False, k=False, numeric=True):
         p.add_argument("--format", choices=("table", "csv", "json"),
                        default="table")
-        p.add_argument("--float", action="store_true",
-                       help="binary64 evaluation and 12-digit printing")
+        if numeric:
+            p.add_argument("--float", action="store_true",
+                           help="binary64 evaluation and 12-digit printing")
         if pair:
             p.add_argument("--pair", required=True, metavar="FILE",
                            help="JSON pair description")
@@ -307,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_leading)
 
     p = sub.add_parser("segre", help="total Segre class of the order-k bundle")
-    common(p, pair=True, k=True)
+    common(p, pair=True, k=True, numeric=False)
     p.set_defaults(fn=_cmd_segre)
 
     p = sub.add_parser("canonical", help="order-k canonical class (k may be inf)")
-    common(p, pair=True, k=True)
+    common(p, pair=True, k=True, numeric=False)
     p.set_defaults(fn=_cmd_canonical)
 
     p = sub.add_parser("table1", help="minimal ramification orders by degree")
@@ -325,8 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lines", help="minimal equal degree for c components")
     common(p)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--c-max", type=int, default=11)
+    one_or_scan = p.add_mutually_exclusive_group()
+    one_or_scan.add_argument("--c", type=int, default=None)
+    one_or_scan.add_argument("--c-max", type=int, default=11)
     p.set_defaults(fn=_cmd_lines)
 
     p = sub.add_parser("k3scan", help="trivial-canonical coefficient scan")
@@ -342,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gysin)
 
     p = sub.add_parser("pieri", help="Schur decomposition of Sym powers")
-    common(p)
+    common(p, numeric=False)
     p.add_argument("--degrees", required=True, type=_parse_ints, help="e.g. 2,1")
     p.set_defaults(fn=_cmd_pieri)
 
     p = sub.add_parser("summands", help="graded jet-bundle summands")
-    common(p, pair=True, k=True)
+    common(p, pair=True, k=True, numeric=False)
     p.add_argument("--N", type=int, required=True, help="weighted degree")
     p.set_defaults(fn=_cmd_summands)
 

@@ -1,28 +1,35 @@
 """Exact threshold searches over ramification orders and arrangements.
 
-Each search locates the smallest integer parameter for which a positivity
-predicate built from chi values holds.  Both chi values involved are integer
-quadratics over a positive integer scale, so every candidate is decided in
-integer arithmetic alone (`_first_positive`); exact chi is evaluated only for
-the values a search reports.
+Each search finds the smallest integer parameter at which a positivity
+predicate built from chi values holds.  The chi values involved are integer
+polynomials over a positive integer scale, each written once as a table:
+one row per power of the outer variable, highest first, each row a
+polynomial in the inner variable, highest first.
 
-For a smooth plane curve of degree d and multiplicity a, 4 a^2 chi_2 is the
-integer quadratic f(a) = A a^2 + B a + C with A = 2d^2 - 27d + 48,
-B = -12d(d - 3), C = 12d^2.  At a = 2 it is 4A + 2B + C = -4d^2 - 36d + 192,
-negative for every d >= 4, while f(0) = C > 0.  For d >= 12, A > 0, so
-a = 2 lies between the roots and chi_2 > 0 exactly past the larger root; the
-search starts at the isqrt floor of that root, which never exceeds it.  For
-4 <= d <= 11, A < 0 and the larger root lies below 2, so no a >= 2 works.
+- `_CHI2` is 4 a^2 chi_2 of the plane pair (d h, a), in a over d:
+  (2d^2 - 27d + 48) a^2 - 12d(d - 3) a + 12d^2.
+- `_CHI1` is 8 chi_1 of c general components (d h, 2), in d over c:
+  c(c - 3) d^2 - 12cd + 48.
 
-For c general components of degree d and multiplicity 2, 8 chi_1 is the
-integer quadratic c(c - 3) d^2 - 12cd + 48 in d.
+In dimension n, a component of multiplicity a > k lives at every order
+1..k with weight (k/a^r - H_k^(r))/r on D^r, and D = d h; so a^n chi_k has
+degree at most n in a and, separately, in d, and c equal components enter
+as c times one, so at most n in c.  Both searches meet only a > k (order-2
+admissibility needs a >= 3; arrangements have a = 2 at k = 1).  The tests
+derive both tables from the ring.
 
-Two runtime checks tie these identities to the ring: every reported chi_2
-must satisfy 4 a^2 chi_2 = f(a) exactly, and every reported chi_1
-8 chi_1 = c(c - 3) d^2 - 12cd + 48; a mismatch raises AssertionError.
-`table1` decides a_min(d) for each degree from f alone and evaluates chi only
-at the first degree of each row.  `_k3_coefficients` scans the
-trivial-canonical coefficients with running harmonic sums.
+Candidates are decided in integers alone on slices of a table (`_rows_at`,
+`_columns_at`); exact chi is evaluated only for the values a search reports,
+and `_record` checks each against its table or raises AssertionError.
+
+For degree d, f = `_rows_at(_CHI2, d)` has f(2) = -4d^2 - 36d + 192 < 0 for
+d >= 4 and f(0) = 12d^2 > 0.  For d >= 12 its leading coefficient is
+positive, so chi_2 > 0 exactly past the larger root, and the search starts
+at that root's isqrt floor; for 4 <= d <= 11 it is negative, the larger root
+lies below 2, and no a >= 2 works.  `table1` decides every degree from 12
+to _SWEEP_END and proves its last range unbounded (`_verify_last_range`).
+`_k3_coefficients` scans the trivial-canonical coefficients with running
+harmonic sums.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ from .orbifold import OrbifoldPair, chi_k
 from .ring import projective_space
 
 _P2 = projective_space(2)
+
+_CHI2 = ((2, -27, 48), (-12, 36, 0), (12, 0, 0))  # 4 a^2 chi_2: a outer, d inner
+_CHI1 = ((1, -3, 0), (0, -12, 0), (0, 0, 48))  # 8 chi_1: d outer, c inner
+_SWEEP_END = 300  # table1 decides every degree up to here
 
 
 class ThresholdRecord(NamedTuple):
@@ -78,17 +89,22 @@ def _order2_admissible(d: int, a: int) -> bool:
     return a * (d - 3) > 2 * d
 
 
-def _chi2_quadratic(d: int):
-    # 4 a^2 chi_2 = A a^2 + B a + C as integers.
-    return 2 * d * d - 27 * d + 48, -12 * d * (d - 3), 12 * d * d
-
-
 def _value(coeffs, x: int) -> int:
     """The integer polynomial with coefficients coeffs, highest first, at x."""
     value = 0
     for c in coeffs:
         value = value * x + c
     return value
+
+
+def _rows_at(table, y: int):
+    """The table's polynomial in its outer variable, the inner one at y."""
+    return tuple(_value(row, y) for row in table)
+
+
+def _columns_at(table, x: int):
+    """The table's polynomial in its inner variable, the outer one at x."""
+    return tuple(_value(column, x) for column in zip(*table))
 
 
 def _first_positive(coeffs, start: int, admissible=lambda x: True) -> int:
@@ -101,113 +117,98 @@ def _first_positive(coeffs, start: int, admissible=lambda x: True) -> int:
     return x
 
 
-def _checked(value: Fraction, scale: int, expected: int, what: str) -> Fraction:
-    """value, once scale * value == expected holds exactly."""
-    if scale * value != expected:
-        raise AssertionError("%s = %s, but its integer quadratic gives %s"
-                             % (what, value, Fraction(expected, scale)))
-    return value
+def _sign_past(coeffs, x0: int) -> int:
+    """1 or -1 when every coefficient of p(x0 + t), p the integer polynomial
+    coeffs (highest first), has that sign, so that p has it at every
+    x >= x0; otherwise 0.  The shift is repeated synthetic division by
+    x - x0."""
+    shifted = list(coeffs)
+    for end in range(len(shifted) - 1, 0, -1):
+        for j in range(1, end + 1):
+            shifted[j] += shifted[j - 1] * x0
+    signs = {(c > 0) - (c < 0) for c in shifted}
+    return signs.pop() if len(signs) == 1 else 0
+
+
+def _record(chi, table, scale, name, parameter: int, x: int) -> ThresholdRecord:
+    """The record of minimal value x: exact chi(parameter, y) at y = x and,
+    for x >= 2, y = x - 1, each checked: scale(y) chi must equal the table at
+    (y, parameter), or AssertionError names name % (parameter, y)."""
+    poly = _rows_at(table, parameter)
+
+    def checked(y):
+        value = chi(parameter, y)
+        if _value(scale, y) * value != _value(poly, y):
+            raise AssertionError("%s is %s, but its integer polynomial gives %s"
+                                 % (name % (parameter, y), value,
+                                    Fraction(_value(poly, y), _value(scale, y))))
+        return value
+
+    return ThresholdRecord(parameter, x, checked(x),
+                           checked(x - 1) if x >= 2 else None)
+
+
+def _plane_record(d: int, a: int) -> ThresholdRecord:
+    return _record(_chi2, _CHI2, (4, 0, 0), "chi_2 at d=%d, a=%d", d, a)
 
 
 def _min_order(d: int) -> Optional[int]:
-    """The minimal order a for degree d >= 4 decided from f alone; None for
-    d <= 11.  a = 2 is never admissible, and every a >= 3 is for d >= 12."""
-    A, B, C = _chi2_quadratic(d)
+    """The minimal order a for degree d >= 4 decided from `_CHI2` alone; None
+    for d <= 11.  a = 2 is never admissible, and every a >= 3 is for d >= 12."""
+    A, B, C = f = _rows_at(_CHI2, d)
     if A < 0:
         return None
     root = (-B + math.isqrt(B * B - 4 * A * C)) // (2 * A)
-    return _first_positive((A, B, C), max(3, root),
-                           lambda a: _order2_admissible(d, a))
+    return _first_positive(f, max(3, root), lambda a: _order2_admissible(d, a))
 
 
 def min_multiplicity_for_degree(d: int) -> Optional[ThresholdRecord]:
     """Smallest integer a >= 2 making the degree-d plane pair both
     order-2 positive and chi_2 positive; None when no a exists (d < 12).
 
-    With f(a) = 4 a^2 chi_2 = A a^2 + B a + C, f(2) = 4A + 2B + C =
-    -4d^2 - 36d + 192 < 0 for d >= 4.  For d >= 12, A > 0, so a = 2 lies
-    between the roots and chi_2 > 0 exactly for a past the larger root r.
-    The integer search starts at max(3, root) with
-    root = (-B + isqrt(disc)) // 2A, which never exceeds r, and decides each
-    candidate by the sign of f.  For 4 <= d <= 11, A < 0 and
-    f(0) = C > 0 > f(2) put the larger root below 2, so chi_2 < 0 for every
-    a >= 2.  Exact chi_2 is evaluated at a and a - 1 only, and each value
-    must satisfy 4 a^2 chi_2 = f(a) or AssertionError is raised.
+    Decided by the sign of 4 a^2 chi_2 from `_CHI2`, with the root bound of
+    the module docstring.  Exact chi_2 is evaluated at a and a - 1 only, and
+    each value must match `_CHI2` or AssertionError is raised.
     """
     if d < 4:
         raise DomainError("degree must be at least 4")
     a = _min_order(d)
-    if a is None:
-        return None
-    f = _chi2_quadratic(d)
-
-    def chi2(x):
-        return _checked(_chi2(d, x), 4 * x * x, _value(f, x),
-                        "chi_2 at d=%d, a=%d" % (d, x))
-
-    return ThresholdRecord(parameter=d, minimal_value=a,
-                           chi_at_min=chi2(a), chi_below_min=chi2(a - 1))
+    return None if a is None else _plane_record(d, a)
 
 
 def _verify_last_range(d_start: int, a: int) -> None:
     """Check with integer arithmetic that a is minimal for every d >= d_start:
-    the order-a quadratic in d stays positive past d_start, admissibility
-    holds there, and every smaller order fails for all such d."""
-    def quad_in_d(aa):
-        # 4 a^2 chi_2 = P2 d^2 + P1 d + P0 as a polynomial in d.
-        return 2 * aa * aa - 12 * aa + 12, -27 * aa * aa + 36 * aa, 48 * aa * aa
-
-    def positive_from(coeffs, d0):
-        p2, p1, p0 = coeffs
-        value = p2 * d0 * d0 + p1 * d0 + p0
-        return p2 > 0 and value > 0 and 2 * p2 * d0 + p1 > 0
-
-    def negative_from(coeffs, d0):
-        p2, p1, p0 = coeffs
-        value = p2 * d0 * d0 + p1 * d0 + p0
-        return p2 < 0 and value < 0 and 2 * p2 * d0 + p1 < 0
-
-    if not positive_from(quad_in_d(a), d_start):
+    order a's polynomial in d stays positive past d_start, admissibility
+    holds there (and beyond, as (a - 2) d > 3a grows with d), and every
+    smaller order stays negative."""
+    if _sign_past(_columns_at(_CHI2, a), d_start) != 1:
         raise AssertionError("order %d does not stay positive past d=%d" % (a, d_start))
     if not _order2_admissible(d_start, a):
         raise AssertionError("order %d not admissible at d=%d" % (a, d_start))
     # from 3 on: (1 - 2/2) d = 0 is never > 3, so order 2 stays inadmissible
     for aa in range(3, a):
-        if not negative_from(quad_in_d(aa), d_start):
+        if _sign_past(_columns_at(_CHI2, aa), d_start) != -1:
             raise AssertionError("order %d works somewhere past d=%d" % (aa, d_start))
 
 
-def table1(d_max: int = 300) -> list[TableRow]:
+def table1() -> list[TableRow]:
     """Ranges of degrees sharing a minimal ramification order, exhaustively
-    for 12 <= d <= d_max, plus a root-bound proof that the last range is
-    unbounded.
+    for 12 <= d <= _SWEEP_END, the last range proven unbounded by
+    `_verify_last_range`.
 
-    a_min(d) is decided for every degree from 4 a^2 chi_2 = f(a) in integers
-    alone.  Exact chi_2 is evaluated only at each row's first degree, through
-    `min_multiplicity_for_degree`, so the printed values are checked against
-    f.  The sweep must reach the range proven unbounded: its last row must
-    have the limiting order, the smallest a >= 3 at which the d^2 coefficient
-    2a^2 - 12a + 12 of 4 a^2 chi_2 is positive, or DomainError is raised.
+    a_min(d) is decided for every degree from `_CHI2` alone.  Exact chi_2 is
+    evaluated only at each row's first degree, at a_min and a_min - 1, and
+    checked against `_CHI2`.
     """
     starts = []  # (first degree, a_min) of each row
-    for d in range(12, d_max + 1):
+    for d in range(12, _SWEEP_END + 1):
         a = _min_order(d)
         if not starts or starts[-1][1] != a:
             starts.append((d, a))
-    limit = _first_positive((2, -12, 12), 3)
-    if not starts or starts[-1][1] != limit:
-        raise DomainError(
-            "d_max=%d is too small: the sweep must reach the range proven "
-            "unbounded, where the minimal order is %d" % (d_max, limit))
     _verify_last_range(*starts[-1])
-    rows = []
-    for i, (d_lo, a) in enumerate(starts):
-        rec = min_multiplicity_for_degree(d_lo)
-        d_hi = starts[i + 1][0] - 1 if i + 1 < len(starts) else None
-        rows.append(TableRow(d_lo=d_lo, d_hi=d_hi, a_min=a,
-                             chi_at_min=rec.chi_at_min,
-                             chi_below_min=rec.chi_below_min))
-    return rows
+    ends = [d - 1 for d, _ in starts[1:]] + [None]
+    return [TableRow(d_lo, d_hi, a, *_plane_record(d_lo, a)[2:])
+            for (d_lo, a), d_hi in zip(starts, ends)]
 
 
 def _chi1_lines(c: int, d: int) -> Fraction:
@@ -217,26 +218,18 @@ def _chi1_lines(c: int, d: int) -> Fraction:
 def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
     """Minimal equal degree d for which c multiplicity-2 components give a
     general-type pair (c d > 6) with chi_1 > 0; None when c <= 3, where the
-    quadratic term c(c-3)/8 rules positivity out.
+    d^2 coefficient c(c-3) of `_CHI1` rules positivity out.
 
-    Each candidate d is decided by the sign of the integer quadratic
-    8 chi_1 = c(c-3) d^2 - 12cd + 48.  Exact chi_1 is evaluated at d and, when
-    d >= 2, at d - 1, and each value must match the quadratic or
-    AssertionError is raised.
+    Each candidate d is decided by the sign of 8 chi_1 from `_CHI1`.  Exact
+    chi_1 is evaluated at d and, when d >= 2, at d - 1, and each value must
+    match `_CHI1` or AssertionError is raised.
     """
     if c < 1:
         raise DomainError("component count must be >= 1")
     if c <= 3:
-        return None  # quadratic term c(c-3)/8 <= 0: chi_1 < 0 wherever cd > 6
-    q = (c * (c - 3), -12 * c, 48)
-    d = _first_positive(q, 1, lambda d: c * d > 6)
-
-    def chi1(x):
-        return _checked(_chi1_lines(c, x), 8, _value(q, x),
-                        "chi_1 at c=%d, d=%d" % (c, x))
-
-    return ThresholdRecord(parameter=c, minimal_value=d, chi_at_min=chi1(d),
-                           chi_below_min=chi1(d - 1) if d >= 2 else None)
+        return None  # d^2 coefficient c(c-3) <= 0: chi_1 < 0 wherever cd > 6
+    d = _first_positive(_rows_at(_CHI1, c), 1, lambda d: c * d > 6)
+    return _record(_chi1_lines, _CHI1, (8,), "chi_1 at c=%d, d=%d", c, d)
 
 
 def k3_coefficient(m: int) -> Fraction:

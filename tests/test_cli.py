@@ -274,6 +274,20 @@ def test_k3scan_below_first_coefficient_is_domain_error(m_max):
     assert code == 0 and out.splitlines()[1:] == ["2,-1/4,-"]
 
 
+@pytest.mark.parametrize("c_max", ["3", "-5"])
+def test_lines_scan_below_first_count_is_domain_error(c_max):
+    code, out, err = invoke(["lines", "--c-max", c_max])
+    assert (code, out, err) == (3, "", "error: c-max must be an integer >= 4\n")
+    code, out, _ = invoke(["lines", "--c-max", "4", "--format", "csv"])
+    assert code == 0 and out.splitlines()[1:] == ["4,11,1/2,-4"]
+
+
+def test_lines_takes_one_count_or_a_scan_not_both():
+    code, out, err = invoke(["lines", "--c", "5", "--c-max", "20"])
+    assert code == 2 and out == ""
+    assert "--c-max" in err and "not allowed with argument --c" in err
+
+
 class FailingStream(io.StringIO):
     """A stdout whose writes fail with the given OSError."""
 
@@ -330,11 +344,14 @@ def test_exact_chi_prints_past_int_digit_limit(p2_file):
     ["gysin", "--n", "3", "--lambda", "2,x"],
     ["pieri", "--degrees", "1,,a"],
     ["table1", "--parallel", "1"],  # the no-op flag is gone
+    ["segre", "--pair", "unused.json", "--k", "2", "--float"],  # it had no effect
+    ["pieri", "--degrees", "2", "--float"],
 ])
 def test_exit_code_malformed_argument(argv):
     code, out, err = invoke(argv)
+    named = [a for a in argv if a.startswith("--")][-1]  # the offending flag
     assert code == 2
-    assert out == "" and argv[-2] in err  # usage error goes to run's err
+    assert out == "" and named in err  # usage error goes to run's err
 
 
 def test_help_goes_to_out():

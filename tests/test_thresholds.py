@@ -259,20 +259,6 @@ def test_k3_running_sums_match_diagonal_coefficient():
     assert list(_k3_coefficients(1)) == []
 
 
-@pytest.mark.parametrize("d_max", [11, 12, 100, 245])
-def test_table1_must_reach_the_unbounded_range(d_max):
-    with pytest.raises(DomainError) as info:
-        table1(d_max)
-    assert "d_max=%d" % d_max in str(info.value)
-    assert "range proven unbounded" in str(info.value)
-
-
-def test_table1_smallest_complete_sweep():
-    rows = table1(246)
-    assert [(r.d_lo, r.d_hi, r.a_min) for r in rows] == TABLE_CELLS
-    assert rows == table1()
-
-
 def test_chi_is_evaluated_only_for_reported_values(monkeypatch):
     import orbichern.thresholds as thresholds
 
@@ -329,6 +315,110 @@ def test_record_types_are_named_tuples():
     assert repr(row) == ("TableRow(d_lo=246, d_hi=None, a_min=5, "
                          "chi_at_min=%r, chi_below_min=%r)"
                          % (row.chi_at_min, row.chi_below_min))
+
+
+def interpolate(points):
+    """Coefficients, highest first, of the polynomial of degree below
+    len(points) through the (x, y) points, by exact Lagrange interpolation."""
+    coeffs = [F(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [F(1)], 1
+        for j, (xj, _) in enumerate(points):
+            if j != i:  # basis *= (x - xj)
+                basis = [b - xj * c for b, c in zip(basis + [0], [0] + basis)]
+                denom *= xi - xj
+        coeffs = [c + yi * b / denom for c, b in zip(coeffs, basis)]
+    return coeffs
+
+
+def interpolate_table(value, outer, inner):
+    """The table (rows by outer power, each a polynomial in the inner
+    variable, highest first) of the polynomial value(x, y), of degree below
+    len(outer) in x and len(inner) in y."""
+    in_x = [interpolate([(x, value(x, y)) for x in outer]) for y in inner]
+    return tuple(tuple(interpolate(list(zip(inner, column))))
+                 for column in zip(*in_x))
+
+
+def scaled_chi2(a, d):
+    return 4 * a * a * chi_k(smooth_curve_pair(d, a), 2)
+
+
+def scaled_chi1(d, c):
+    return 8 * chi_k(line_arrangement_pair([d] * c), 1)
+
+
+def test_tables_are_the_ring_interpolated():
+    """Both tables are the ring's chi values, interpolated exactly.
+
+    In dimension n a component of multiplicity a > k is alive at every order
+    1..k, with weight (k/a^r - H_k^(r))/r on D^r and D = d h, so a^n chi_k
+    has degree <= n in a and, separately, in d; c equal components enter as
+    c times one, so degree <= n in c.  Here n = 2, and every grid point has
+    a > k (a >= 3 at k = 2, a = 2 at k = 1), so three points per variable
+    determine each table; the far points are insurance.
+    """
+    from orbichern.thresholds import _CHI1, _CHI2, _rows_at, _value
+
+    assert interpolate_table(scaled_chi2, (3, 4, 5), (4, 5, 6)) == _CHI2
+    assert interpolate_table(scaled_chi1, (1, 2, 3), (4, 5, 6)) == _CHI1
+    for a, d in ((10 ** 6, 300), (7, 1000), (3, 4), (250, 31)):
+        assert scaled_chi2(a, d) == _value(_rows_at(_CHI2, d), a)
+    for d, c in ((300, 40), (1, 40), (17, 4), (2, 9)):
+        assert scaled_chi1(d, c) == _value(_rows_at(_CHI1, c), d)
+
+
+def test_table_slices_are_the_hand_written_polynomials():
+    from orbichern.thresholds import _CHI1, _CHI2, _columns_at, _rows_at
+
+    for d in range(4, 301):  # 4 a^2 chi_2 in a
+        assert _rows_at(_CHI2, d) == (2 * d * d - 27 * d + 48,
+                                      -12 * d * (d - 3), 12 * d * d)
+    for a in range(2, 301):  # 4 a^2 chi_2 in d
+        assert _columns_at(_CHI2, a) == (2 * a * a - 12 * a + 12,
+                                         -27 * a * a + 36 * a, 48 * a * a)
+    for c in range(1, 41):  # 8 chi_1 in d
+        assert _rows_at(_CHI1, c) == (c * (c - 3), -12 * c, 48)
+
+
+def positive_from(coeffs, d0):
+    # the quadratic-only tail proof the Taylor shift replaced
+    p2, p1, p0 = coeffs
+    value = p2 * d0 * d0 + p1 * d0 + p0
+    return p2 > 0 and value > 0 and 2 * p2 * d0 + p1 > 0
+
+
+def negative_from(coeffs, d0):
+    p2, p1, p0 = coeffs
+    value = p2 * d0 * d0 + p1 * d0 + p0
+    return p2 < 0 and value < 0 and 2 * p2 * d0 + p1 < 0
+
+
+def test_sign_past_is_the_sign_of_the_taylor_shift():
+    import random
+
+    from orbichern.thresholds import _sign_past, _value
+
+    rng = random.Random(11)
+    decided = 0
+    for _ in range(3000):
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        x0 = rng.randint(-6, 12)
+        n = len(coeffs) - 1
+        # p(x0 + t) = sum_j t^j sum_i p_i C(i, j) x0^(i - j), p_i of x^i
+        shifted = [sum(coeffs[n - i] * math.comb(i, j) * x0 ** (i - j)
+                       for i in range(j, n + 1)) for j in range(n + 1)]
+        signs = {(c > 0) - (c < 0) for c in shifted}
+        sign = _sign_past(coeffs, x0)
+        assert sign == (signs.pop() if len(signs) == 1 else 0)
+        if sign:  # brute-force scan: p keeps that sign past x0
+            decided += 1
+            assert all((_value(coeffs, x) > 0) - (_value(coeffs, x) < 0) == sign
+                       for x in range(x0, x0 + 200))
+        if n == 2:
+            assert sign == (1 if positive_from(coeffs, x0)
+                            else -1 if negative_from(coeffs, x0) else 0)
+    assert decided > 500
 
 
 # pi to 50 digits: boundaries computed from it are exact to ~1e-48, far
