@@ -18,7 +18,7 @@ print("dimension cross-check on a rank-3 space:")
 expansion = decompose_sym_tensor([2, 1, 1])
 lhs = (schur_dimension((2,), 3) * schur_dimension((1,), 3)
        * schur_dimension((1,), 3))
-rhs = sum(mult * schur_dimension(lam, 3) for lam, mult in expansion.items())
+rhs = sum(mult * schur_dimension(lam, 3) for lam, mult in expansion.terms.items())
 print("  product of Sym dims = %d = %d = sum over the expansion" % (lhs, rhs))
 
 print()

@@ -10,7 +10,7 @@ All arithmetic is exact rational unless a numeric mode is requested.
 
 from .errors import (DomainError, GeometryMismatch, NonUnitError,
                      OrbichernError, PairFormatError)
-from .gysin import JumpData, gysin_coefficient, jump_data, shifted_target_degree
+from .gysin import JumpData, gysin_coefficient, jump_data
 from .orbifold import (ChiReport, OrbifoldPair, canonical_k, chi_k,
                        chi_leading_term, chi_trivial_canonical_closed_form,
                        cotangent_chern, cotangent_segre, delta_k,

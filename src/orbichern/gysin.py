@@ -61,24 +61,6 @@ def jump_data(n: int, lam) -> JumpData:
     return JumpData(n=n, padded=padded, jumps=jumps, defect=defect)
 
 
-def shifted_target_degree(n: int, lam) -> int:
-    """Total degree of the shifted target monomial, n(n+1)/2 + defect;
-    the polynomial being searched has degree n(n+1)/2."""
-    return sum(_target_exponents(jump_data(n, lam)))
-
-
-def _target_exponents(data: JumpData) -> tuple:
-    # (n, n-1, ..., 1) shifted by j_p on each slot in (j_p, j_{p+1}].
-    n = data.n
-    shift = [0] * n
-    fence = (0,) + data.jumps + (n,)
-    for p in range(1, len(fence) - 1):
-        jp = fence[p]
-        for i in range(jp + 1, fence[p + 1] + 1):
-            shift[i - 1] = jp
-    return tuple(n - i + shift[i] for i in range(n))
-
-
 def gysin_coefficient(n: int, lam) -> Fraction:
     """kappa(lam) in closed form: c^n on lam = (c^n), zero on all others.
 

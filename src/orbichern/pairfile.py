@@ -141,9 +141,7 @@ def _component_class(geom, entry, where):
             return geom.generator(geom.names[0])
         raise PairFormatError("%s.class: required" % where)
     if isinstance(cls_spec, str):
-        if cls_spec not in geom.names:
-            raise PairFormatError("%s.class: unknown generator %r" % (where, cls_spec))
-        return geom.generator(cls_spec)
+        cls_spec = {cls_spec: 1}
     if isinstance(cls_spec, dict):
         out = geom.zero()
         for name, coeff in cls_spec.items():
@@ -213,7 +211,8 @@ def _geometry_object(geom: Geometry) -> dict:
 def serialize_pair(pair: OrbifoldPair) -> str:
     """Canonical JSON for a pair over a preset geometry (round-trips through
     parse_pair); the geometry object is written only if parse_geometry
-    rebuilds a geometry equal to the pair's."""
+    rebuilds a geometry equal to the pair's, and a projective component only
+    if its class is a positive integer multiple of h."""
     geom = pair.geometry
     data = _geometry_object(geom)
     try:
@@ -223,18 +222,19 @@ def serialize_pair(pair: OrbifoldPair) -> str:
     if not same:
         raise PairFormatError("only preset geometries serialize")
     components = []
-    for comp in pair.components:
+    for i, comp in enumerate(pair.components):
         mult = str(comp.multiplicity)
         if geom.kind == "projective":
-            components.append({"degree": int(comp.divisor.coefficient((1,))),
-                               "mult": mult})
+            degree = comp.divisor.coefficient((1,))
+            if degree.denominator != 1 or degree < 1:
+                raise PairFormatError("components[%d].degree: %s is not a "
+                                      "positive integer" % (i, degree))
+            components.append({"degree": int(degree), "mult": mult})
             continue
-        cls = {}
-        for i, name in enumerate(geom.names):
-            exps = tuple(1 if j == i else 0 for j in range(len(geom.names)))
-            c = comp.divisor.coefficient(exps)
-            if c:
-                cls[name] = str(c)
+        # a component class is homogeneous of degree 1, so each key is the
+        # unit exponent vector of one degree-1 generator
+        cls = {geom.names[exps.index(1)]: str(c)
+               for exps, c in comp.divisor.coeffs.items()}
         components.append({"class": cls, "mult": mult})
     return json.dumps({"geometry": data, "components": components},
                       sort_keys=True)

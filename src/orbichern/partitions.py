@@ -11,14 +11,20 @@ its cost is proportional to the number of (term, strip) pairs.
 and wraps the result as `Partition`s once, at the end.
 The classical Weyl product formula supplies dimensions as an independent
 cross-check on the decompositions.
+
+`Partition` and `SchurExpansion` are immutable values, like the ring types:
+each sets its fields once through `object.__setattr__`, assignment raises
+AttributeError, and `SchurExpansion.terms` is a read-only mapping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import DomainError
 from .orbifold import OrbifoldPair, delta_k
+from .ring import _immutable
 
 
 def _is_int(value) -> bool:
@@ -26,28 +32,37 @@ def _is_int(value) -> bool:
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers; () is trivial."""
+    """A weakly decreasing tuple of positive integers; () is trivial.
+
+    Trailing zeros are dropped, so (2, 2, 0) and (0,) are accepted; a zero
+    followed by a positive part is not a partition and raises DomainError.
+    """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(parts)
-        if not all(map(_is_int, parts)):
-            raise DomainError("parts must be integers, got %r" % (parts,))
-        parts = tuple(int(p) for p in parts if p != 0)
+        given = tuple(parts)
+        if not all(map(_is_int, given)):
+            raise DomainError("parts must be integers, got %r" % (given,))
+        end = len(given)
+        while end and given[end - 1] == 0:
+            end -= 1
+        parts = tuple(map(int, given[:end]))
         for i, p in enumerate(parts):
             if p < 1:
-                raise DomainError("parts must be positive, got %s" % (parts,))
+                raise DomainError("parts must be positive, got %s" % (given,))
             if i and parts[i - 1] < p:
-                raise DomainError("parts must be weakly decreasing: %s" % (parts,))
-        self.parts = parts
+                raise DomainError("parts must be weakly decreasing: %s" % (given,))
+        object.__setattr__(self, "parts", parts)
+
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def _trusted(cls, parts: tuple) -> "Partition":
         """A Partition of parts already known to be a valid, zero-free,
         weakly decreasing tuple of ints; skips the checks."""
         lam = object.__new__(cls)
-        lam.parts = parts
+        object.__setattr__(lam, "parts", parts)
         return lam
 
     @property
@@ -129,12 +144,14 @@ def _pieri_stage(terms: dict, m: int) -> dict:
 
 
 class SchurExpansion:
-    """A nonnegative integer combination of Schur functors."""
+    """A nonnegative integer combination of Schur functors; `terms` is a
+    read-only mapping {Partition: positive int}, and the unit is
+    SchurExpansion({(): 1})."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
+        checked = {}
         for lam, mult in (terms or {}).items():
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
@@ -144,23 +161,19 @@ class SchurExpansion:
             if mult < 0:
                 raise DomainError("multiplicities must be nonnegative")
             if mult:
-                self.terms[lam] = int(mult)
+                checked[lam] = int(mult)
+        object.__setattr__(self, "terms", MappingProxyType(checked))
+
+    __setattr__ = __delattr__ = _immutable
 
     @classmethod
     def _trusted(cls, terms: dict) -> "SchurExpansion":
         """An expansion of {parts tuple: mult} already known to hold valid
         partitions and positive int multiplicities; skips the checks."""
         out = object.__new__(cls)
-        out.terms = {Partition._trusted(parts): mult
-                     for parts, mult in terms.items()}
+        object.__setattr__(out, "terms", MappingProxyType(
+            {Partition._trusted(parts): mult for parts, mult in terms.items()}))
         return out
-
-    @classmethod
-    def unit(cls) -> "SchurExpansion":
-        return cls({Partition(): 1})
-
-    def items(self):
-        return self.terms.items()
 
     def __eq__(self, other):
         return isinstance(other, SchurExpansion) and self.terms == other.terms
@@ -192,7 +205,7 @@ def pieri_multiply(expansion: SchurExpansion, m: int) -> SchurExpansion:
     if not _is_int(m) or m < 0:
         raise DomainError("strip size must be a nonnegative integer, got %r"
                           % (m,))
-    terms = {lam.parts: mult for lam, mult in expansion.items()}
+    terms = {lam.parts: mult for lam, mult in expansion.terms.items()}
     return SchurExpansion._trusted(_pieri_stage(terms, int(m)))
 
 

@@ -151,7 +151,7 @@ def test_criterion_8_pieri_suite():
         p = rng.randint(1, 4)
         degrees = [rng.randint(0, 5) for _ in range(p)]
         expansion = decompose_sym_tensor(degrees)
-        for lam, _ in expansion.items():
+        for lam in expansion.terms:
             if len(lam) > p:
                 ok = False
         for r in range(1, 6):
@@ -159,7 +159,7 @@ def test_criterion_8_pieri_suite():
             for a in degrees:
                 lhs *= schur_dimension((a,), r)
             rhs = sum(m * schur_dimension(lam, r)
-                      for lam, m in expansion.items())
+                      for lam, m in expansion.terms.items())
             if lhs != rhs:
                 ok = False
     dp_checked = 0

@@ -232,6 +232,14 @@ def test_exit_code_unknown_flag():
 def test_exit_code_domain_error():
     code, _, err = invoke(["minmult", "--d", "3"])
     assert code == 3 and "degree" in err
+    # an interior zero is not a partition; trailing zeros are dropped
+    for lam in ("1,0,1", "0,1", "2,0,2,0"):
+        code, out, err = invoke(["gysin", "--n", "3", "--lambda", lam])
+        assert code == 3 and out == "" and "must be positive" in err
+    for lam, same in (("0", "0,0,0"), ("2,2,0", "2,2"), ("1,1,1,0", "1,1,1")):
+        code, out, _ = invoke(["gysin", "--n", "3", "--lambda", lam])
+        assert code == 0 and out == invoke(["gysin", "--n", "3",
+                                            "--lambda", same])[1]
 
 
 def test_gysin_cap_is_checked_before_any_work():
@@ -413,8 +421,8 @@ PUBLIC_NAMES = [
     "line_arrangement_threshold", "load_pair", "log_asymptotic_coefficient",
     "min_multiplicity_for_degree", "orbifold", "pairfile", "parse_pair",
     "partitions", "pieri_multiply", "projective_space", "ring",
-    "schur_dimension", "serialize_pair", "shifted_target_degree",
-    "smooth_curve_pair", "surface_with_invariants", "table1", "thresholds",
+    "schur_dimension", "serialize_pair", "smooth_curve_pair",
+    "surface_with_invariants", "table1", "thresholds",
     "two_component_m2_predicate", "weighted_vectors"]
 
 # Runs `python -m orbichern ARGS` through cli.run, then reports on stderr

@@ -8,8 +8,7 @@ import pytest
 
 from orbichern.cli import run
 from orbichern.errors import DomainError
-from orbichern.gysin import (_target_exponents, gysin_coefficient, jump_data,
-                             shifted_target_degree)
+from orbichern.gysin import JumpData, gysin_coefficient, jump_data
 
 F = Fraction
 
@@ -107,6 +106,24 @@ def test_gysin_dimension_cap():
 
 
 # -- the closed form against the full expansion -------------------------------
+
+def shifted_target_degree(n, lam):
+    """Total degree of the shifted target monomial, n(n+1)/2 + defect;
+    the polynomial being searched has degree n(n+1)/2."""
+    return sum(_target_exponents(jump_data(n, lam)))
+
+
+def _target_exponents(data: JumpData) -> tuple:
+    # (n, n-1, ..., 1) shifted by j_p on each slot in (j_p, j_{p+1}].
+    n = data.n
+    shift = [0] * n
+    fence = (0,) + data.jumps + (n,)
+    for p in range(1, len(fence) - 1):
+        jp = fence[p]
+        for i in range(jp + 1, fence[p + 1] + 1):
+            shift[i - 1] = jp
+    return tuple(n - i + shift[i] for i in range(n))
+
 
 def _kappa_by_expansion(n, lam):
     """kappa(lam) as the coefficient of the shifted target in

@@ -267,6 +267,18 @@ def test_serialized_text_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("coefficient", [F(3, 2), F(1, 2), 0, -2], ids=str)
+def test_projective_degree_that_is_not_a_positive_integer_does_not_serialize(
+        n, coefficient):
+    geom = projective_space(n)
+    pair = OrbifoldPair(geom, [(geom.generator("h") * 5, "3"),
+                               (geom.generator("h") * coefficient, "inf")])
+    with pytest.raises(PairFormatError) as info:
+        serialize_pair(pair)
+    assert "components[1].degree" in str(info.value)
+
+
 def _serialize_one(geom):
     divisor = geom.generator(geom.names[0])
     return serialize_pair(OrbifoldPair(geom, [(divisor, "3")]))

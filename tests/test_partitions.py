@@ -43,7 +43,7 @@ def schur_value(parts, xs):
 
 def expansion_value(expansion, xs):
     return sum(mult * schur_value(lam.parts, xs)
-               for lam, mult in expansion.items())
+               for lam, mult in expansion.terms.items())
 
 
 SAMPLE_POINTS = [
@@ -102,10 +102,17 @@ def test_partition_validation():
     assert Partition((3, 1, 1)).parts == (3, 1, 1)
     assert Partition(()).parts == ()
     assert Partition((2, 0)).parts == (2,)  # trailing zeros are dropped
+    assert Partition((2, 2, 0, 0)).parts == (2, 2)
+    assert Partition((0,)).parts == Partition((0, 0)).parts == ()
     with pytest.raises(DomainError):
         Partition((1, 2))
     with pytest.raises(DomainError):
         Partition((2, -1))
+    for parts in [(2, 0, 1), (0, 1), (3, 0, 0, 1, 0), (2, -1, 0)]:
+        with pytest.raises(DomainError, match="must be positive"):
+            Partition(parts)  # a zero or negative part before a positive one
+    with pytest.raises(DomainError):
+        SchurExpansion({(2, 0, 1): 1})
 
 
 @pytest.mark.parametrize("parts", [
@@ -163,8 +170,50 @@ def test_sorted_terms_by_weight_then_descending_parts():
         expansion = SchurExpansion({parts: rng.randint(1, 9)
                                     for parts in rng.sample(shapes, 25)})
         assert expansion.sorted_terms() == sorted(
-            expansion.items(),
+            expansion.terms.items(),
             key=lambda kv: (kv[0].weight, tuple(-p for p in kv[0].parts)))
+
+
+def _closed_values():
+    """Partitions and expansions from each constructor: checked, trusted,
+    pieri_multiply and decompose_sym_tensor."""
+    expansions = [SchurExpansion({(2, 1): 2, (): 1}),
+                  SchurExpansion._trusted({(3,): 1, (2, 1): 4}),
+                  pieri_multiply(SchurExpansion({(1,): 1}), 2),
+                  decompose_sym_tensor([2, 1, 1])]
+    partitions = [Partition((3, 1)), Partition._trusted((2, 2))]
+    partitions += [lam for e in expansions for lam in e.terms]
+    return partitions, expansions
+
+
+def test_value_layer_is_closed():
+    partitions, expansions = _closed_values()
+    for value, field, other in (
+            [(lam, "parts", (1, 2)) for lam in partitions]
+            + [(e, "terms", {}) for e in expansions]):
+        before = str(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, other)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert str(value) == before
+    for e in expansions:
+        before = str(e)
+        with pytest.raises(TypeError):
+            e.terms[Partition((5,))] = 3
+        with pytest.raises(TypeError):
+            del e.terms[next(iter(e.terms))]
+        assert str(e) == before and Partition((5,)) not in e.terms
+
+
+def test_expansion_copies_its_input():
+    source = {(2,): 1}
+    e = SchurExpansion(source)
+    source[(3,)] = 1
+    assert e == SchurExpansion({(2,): 1})
+    assert SchurExpansion(e.terms) == e
 
 
 def test_partition_serialization():
@@ -180,7 +229,7 @@ def test_expansion_serialization():
 # -- Pieri rule -------------------------------------------------------------------
 
 def test_pieri_single_row():
-    assert pieri_multiply(SchurExpansion.unit(), 2) == SchurExpansion({(2,): 1})
+    assert pieri_multiply(SchurExpansion({(): 1}), 2) == SchurExpansion({(2,): 1})
 
 
 def test_pieri_identity_strip():
@@ -240,7 +289,7 @@ def test_decompose_matches_iterated_pieri_in_given_order():
     rng = random.Random(6006)
     for _ in range(40):
         degrees = [rng.randint(0, 6) for _ in range(rng.randint(0, 5))]
-        iterated = SchurExpansion.unit()
+        iterated = SchurExpansion({(): 1})
         for a in degrees:  # unsorted, one validated SchurExpansion per stage
             iterated = pieri_multiply(iterated, a)
         assert decompose_sym_tensor(degrees) == iterated
@@ -255,7 +304,7 @@ def test_pieri_stage_sums_multiplicities():
 
 def test_pieri_outputs_are_valid_partitions():
     out = decompose_sym_tensor([3, 2, 2])
-    for lam, mult in out.items():
+    for lam, mult in out.terms.items():
         assert type(lam) is Partition and lam == Partition(lam.parts)
         assert type(mult) is int and mult > 0
 
@@ -264,7 +313,7 @@ def test_pieri_outputs_are_valid_partitions():
 def test_dimension_identity_at_benchmark_sizes(degrees):
     p = len(degrees)
     out = decompose_sym_tensor(degrees)
-    total = sum(mult * schur_dimension(lam, p) for lam, mult in out.items())
+    total = sum(mult * schur_dimension(lam, p) for lam, mult in out.terms.items())
     assert total == math.prod(math.comb(a + p - 1, p - 1) for a in degrees)
 
 
@@ -290,7 +339,7 @@ def test_part_count_bound():
     for _ in range(100):
         p = rng.randint(1, 4)
         degrees = [rng.randint(0, 5) for _ in range(p)]
-        for lam, _ in decompose_sym_tensor(degrees).items():
+        for lam in decompose_sym_tensor(degrees).terms:
             assert len(lam) <= p
 
 
@@ -313,7 +362,7 @@ def test_dimension_consistency_identity():
             lhs = 1
             for a in degrees:
                 lhs *= schur_dimension((a,), r)
-            rhs = sum(mult * schur_dimension(lam, r) for lam, mult in out.items())
+            rhs = sum(mult * schur_dimension(lam, r) for lam, mult in out.terms.items())
             assert lhs == rhs
 
 
