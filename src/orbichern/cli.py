@@ -4,6 +4,8 @@ Subcommands: chi, leading, segre, canonical, table1, minmult, lines, k3scan,
 gysin, pieri, summands.  Numeric output is exact ("p/q"); --float switches
 chi, leading, table1, minmult, lines, k3scan and gysin to binary64.  --format
 selects table, csv or json (scan commands emit one JSON object per line).
+--lambda and --degrees take comma-separated integers with no empty field;
+--lambda 0 is the empty partition.
 Exit codes: 0 success, 1 output could not be written, 2 malformed input,
 3 domain error.
 
@@ -27,7 +29,7 @@ from .errors import DomainError, OrbichernError, PairFormatError
 from .gysin import gysin_coefficient, jump_data
 from .partitions import decompose_sym_tensor
 from .pairfile import load_pair
-from .ring import INFINITE_ORDER
+from .ring import INFINITE_ORDER, _INFINITY_WORDS
 
 _FLOAT_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -91,68 +93,46 @@ def _emit(rows, columns, fmt, out):
 
 
 def _parse_order(text):
-    if text in ("inf", "infinity", "oo"):
+    if text in _INFINITY_WORDS:
         return INFINITE_ORDER
     return int(text)  # argparse reports a ValueError as a malformed argument
 
 
 def _parse_ints(text):
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+    return [int(p) for p in text.split(",")]  # an empty field is a ValueError
 
 
-def _read_pair(path):
-    """load_pair; a pair file that cannot be opened or decoded is malformed
-    input (exit 2), so that run() reads any other OSError as a failed
-    write to out."""
-    try:
-        return load_pair(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise PairFormatError(str(exc)) from exc
+# -- subcommand handlers: args (with the pair loaded) -> rows -----------------
 
-
-# -- subcommand handlers -------------------------------------------------------
-
-def _cmd_chi(args, out):
-    pair = _read_pair(args.pair)
+def _cmd_chi(args):
     k = _finite(args.k)
     if not args.float and k > orbifold.EXACT_ORDER_LIMIT:
         raise DomainError("exact evaluation is limited to k <= %d; pass "
                           "--float for numeric evaluation"
                           % orbifold.EXACT_ORDER_LIMIT)
-    value = orbifold.chi_k(pair, k, numeric=args.float)
-    _emit([(_fmt(value, args.float),)], ["chi"], args.format, out)
-    return 0
+    value = orbifold.chi_k(args.pair, k, numeric=args.float)
+    return [(_fmt(value, args.float),)]
 
 
-def _cmd_leading(args, out):
-    pair = _read_pair(args.pair)
+def _cmd_leading(args):
     k = _finite(args.k)
     if k > orbifold.EXACT_ORDER_LIMIT:  # leading has no numeric path
         raise DomainError("leading is exact only, for k <= %d; use chi --float "
                           "for numeric evaluation" % orbifold.EXACT_ORDER_LIMIT)
-    report = orbifold.chi_leading_term(pair, k)
-    row = (str(report.k), _fmt(report.chi, args.float),
-           _fmt(report.leading_scale, args.float),
-           "unknown" if report.canonical_positive is None
-           else _fmt(report.canonical_positive))
-    _emit([row], ["k", "chi", "leading_scale", "canonical_positive"],
-          args.format, out)
-    return 0
+    report = orbifold.chi_leading_term(args.pair, k)
+    return [(str(report.k), _fmt(report.chi, args.float),
+             _fmt(report.leading_scale, args.float),
+             "unknown" if report.canonical_positive is None
+             else _fmt(report.canonical_positive))]
 
 
-def _cmd_segre(args, out):
-    pair = _read_pair(args.pair)
-    cls = orbifold.cotangent_segre(pair, _finite(args.k))
-    _emit([(str(cls),)], ["segre"], args.format, out)
-    return 0
+def _cmd_segre(args):
+    return [(str(orbifold.cotangent_segre(args.pair, _finite(args.k))),)]
 
 
-def _cmd_canonical(args, out):
-    pair = _read_pair(args.pair)
-    cls, positive = orbifold.canonical_k(pair, args.k)
-    row = (str(cls), "unknown" if positive is None else _fmt(positive))
-    _emit([row], ["class", "positive"], args.format, out)
-    return 0
+def _cmd_canonical(args):
+    cls, positive = orbifold.canonical_k(args.pair, args.k)
+    return [(str(cls), "unknown" if positive is None else _fmt(positive))]
 
 
 def _range_label(row):
@@ -177,71 +157,52 @@ def _threshold_row(parameter, rec, as_float):
             _fmt(below_min, as_float))
 
 
-def _cmd_table1(args, out):
-    data = [_threshold_row(_range_label(r), r, args.float)
+def _cmd_table1(args):
+    return [_threshold_row(_range_label(r), r, args.float)
             for r in thresholds.table1()]
-    _emit(data, _THRESHOLD_COLUMNS, args.format, out)
-    return 0
 
 
-def _cmd_minmult(args, out):
+def _cmd_minmult(args):
     rec = thresholds.min_multiplicity_for_degree(args.d)
-    _emit([_threshold_row(args.d, rec, args.float)], _THRESHOLD_COLUMNS,
-          args.format, out)
-    return 0
+    return [_threshold_row(args.d, rec, args.float)]
 
 
-def _cmd_lines(args, out):
+def _cmd_lines(args):
     if args.c is None and args.c_max < 4:  # the scan starts at c = 4
         raise DomainError("c-max must be an integer >= 4")
     cs = [args.c] if args.c is not None else list(range(4, args.c_max + 1))
-    data = [_threshold_row(c, thresholds.line_arrangement_threshold(c), args.float)
+    return [_threshold_row(c, thresholds.line_arrangement_threshold(c), args.float)
             for c in cs]
-    _emit(data, _THRESHOLD_COLUMNS, args.format, out)
-    return 0
 
 
-def _cmd_k3scan(args, out):
+def _cmd_k3scan(args):
     if args.m_max < 2:  # as k3_coefficient(m) for the same m
         raise DomainError("m must be an integer >= 2")
-    rows = [(str(m), _fmt(cm, args.float),
+    return [(str(m), _fmt(cm, args.float),
              _fmt(thresholds._ratio_bound(m, cm) if cm > 0 else None))
             for m, cm in thresholds._k3_coefficients(args.m_max)]
-    _emit(rows, ["m", "coefficient", "ratio"], args.format, out)
-    return 0
 
 
-def _cmd_gysin(args, out):
+def _cmd_gysin(args):
     kappa = gysin_coefficient(args.n, args.lam)  # checks the cap first
-    data = jump_data(args.n, args.lam)
-    row = (str(data.defect), _fmt(kappa, args.float))
-    _emit([row], ["defect", "coefficient"], args.format, out)
-    return 0
+    return [(str(jump_data(args.n, args.lam).defect), _fmt(kappa, args.float))]
 
 
-def _cmd_pieri(args, out):
-    expansion = decompose_sym_tensor(args.degrees)
-    rows = [(str(mult), " ".join(map(str, lam.parts)) or "0")
-            for lam, mult in expansion.sorted_terms()]
-    _emit(rows, ["multiplicity", "parts"], args.format, out)
-    return 0
+def _cmd_pieri(args):
+    return [(str(mult), " ".join(map(str, lam.parts)) or "0")
+            for lam, mult in decompose_sym_tensor(args.degrees).sorted_terms()]
 
 
-def _cmd_summands(args, out):
-    pair = _read_pair(args.pair)
+def _cmd_summands(args):
     k, n_weight = _finite(args.k), args.N
     if k < 1:
         raise DomainError("k must be >= 1")
     if n_weight < 0:
         raise DomainError("weight must be >= 0")
     zeros = " ".join(["0"] * k)  # zeros[2 * (j - 1):] is l_j, ..., l_k = 0
-    if not n_weight:
-        _emit([(zeros, "trivial", "-")], ["l", "summand", "coefficients"],
-              args.format, out)
-        return 0
     # "order j: <coefficient profile>" for every order a row can use
     orders = [None] + ["order %d: %s" % (j, " ".join(
-        str(t.coefficient) for t in orbifold.delta_k(pair, j)))
+        str(t.coefficient) for t in orbifold.delta_k(args.pair, j)))
         for j in range(1, min(k, n_weight) + 1)]
     memo = {}
 
@@ -273,9 +234,7 @@ def _cmd_summands(args, out):
         memo[key] = found
         return found
 
-    _emit(suffixes(1, n_weight), ["l", "summand", "coefficients"],
-          args.format, out)
-    return 0
+    return suffixes(1, n_weight) if n_weight else [(zeros, "trivial", "-")]
 
 
 def _finite(k):
@@ -304,57 +263,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="Euler-characteristic coefficient chi_k")
     common(p, pair=True, k=True)
-    p.set_defaults(fn=_cmd_chi)
+    p.set_defaults(fn=_cmd_chi, columns=["chi"])
 
     p = sub.add_parser("leading", help="chi_k with its Riemann-Roch scale")
     common(p, pair=True, k=True)
-    p.set_defaults(fn=_cmd_leading)
+    p.set_defaults(fn=_cmd_leading, columns=[
+        "k", "chi", "leading_scale", "canonical_positive"])
 
     p = sub.add_parser("segre", help="total Segre class of the order-k bundle")
     common(p, pair=True, k=True, numeric=False)
-    p.set_defaults(fn=_cmd_segre)
+    p.set_defaults(fn=_cmd_segre, columns=["segre"])
 
     p = sub.add_parser("canonical", help="order-k canonical class (k may be inf)")
     common(p, pair=True, k=True, numeric=False)
-    p.set_defaults(fn=_cmd_canonical)
+    p.set_defaults(fn=_cmd_canonical, columns=["class", "positive"])
 
     p = sub.add_parser("table1", help="minimal ramification orders by degree")
     common(p)
-    p.set_defaults(fn=_cmd_table1)
+    p.set_defaults(fn=_cmd_table1, columns=_THRESHOLD_COLUMNS)
 
     p = sub.add_parser("minmult", help="minimal order for one plane degree")
     common(p)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(fn=_cmd_minmult)
+    p.set_defaults(fn=_cmd_minmult, columns=_THRESHOLD_COLUMNS)
 
     p = sub.add_parser("lines", help="minimal equal degree for c components")
     common(p)
     one_or_scan = p.add_mutually_exclusive_group()
     one_or_scan.add_argument("--c", type=int, default=None)
     one_or_scan.add_argument("--c-max", type=int, default=11)
-    p.set_defaults(fn=_cmd_lines)
+    p.set_defaults(fn=_cmd_lines, columns=_THRESHOLD_COLUMNS)
 
     p = sub.add_parser("k3scan", help="trivial-canonical coefficient scan")
     common(p)
     p.add_argument("--m-max", type=int, default=200)
-    p.set_defaults(fn=_cmd_k3scan)
+    p.set_defaults(fn=_cmd_k3scan, columns=["m", "coefficient", "ratio"])
 
     p = sub.add_parser("gysin", help="flag-bundle Gysin coefficient")
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True, type=_parse_ints,
                    help="partition, e.g. 2,2,1")
-    p.set_defaults(fn=_cmd_gysin)
+    p.set_defaults(fn=_cmd_gysin, columns=["defect", "coefficient"])
 
     p = sub.add_parser("pieri", help="Schur decomposition of Sym powers")
     common(p, numeric=False)
     p.add_argument("--degrees", required=True, type=_parse_ints, help="e.g. 2,1")
-    p.set_defaults(fn=_cmd_pieri)
+    p.set_defaults(fn=_cmd_pieri, columns=["multiplicity", "parts"])
 
     p = sub.add_parser("summands", help="graded jet-bundle summands")
     common(p, pair=True, k=True, numeric=False)
     p.add_argument("--N", type=int, required=True, help="weighted degree")
-    p.set_defaults(fn=_cmd_summands)
+    p.set_defaults(fn=_cmd_summands, columns=["l", "summand", "coefficients"])
 
     return parser
 
@@ -389,7 +349,14 @@ def _dispatch(argv, out, err):
         err.write(errors.getvalue())
         return exc.code if exc.code is not None else 0
     try:
-        return args.fn(args, out)
+        if "pair" in args:
+            try:
+                args.pair = load_pair(args.pair)
+            except (OSError, UnicodeDecodeError) as exc:
+                # malformed input (exit 2): any other OSError is a failed write
+                raise PairFormatError(str(exc)) from exc
+        _emit(args.fn(args), args.columns, args.format, out)
+        return 0
     except PairFormatError as exc:  # includes a pair file that cannot be read
         err.write("error: %s\n" % exc)
         return 2

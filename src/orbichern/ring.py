@@ -32,6 +32,10 @@ def _immutable(self, *args):
     raise AttributeError("%s is immutable; build a new one" % type(self).__name__)
 
 
+#: How an infinite multiplicity (pair file) or order (command line) is spelled.
+_INFINITY_WORDS = ("inf", "infinity", "oo")
+
+
 class Multiplicity:
     """Orbifold multiplicity: a rational >= 1, or infinite (logarithmic).
 
@@ -56,7 +60,7 @@ class Multiplicity:
             return text
         if isinstance(text, str):
             text = text.strip()
-            if text in ("inf", "infinity", "oo"):
+            if text in _INFINITY_WORDS:
                 return cls(None)
         return cls(Fraction(text))
 

@@ -107,7 +107,7 @@ def _columns_at(table, x: int):
     return tuple(_value(column, x) for column in zip(*table))
 
 
-def _first_positive(coeffs, start: int, admissible=lambda x: True) -> int:
+def _first_positive(coeffs, start: int, admissible) -> int:
     """Smallest integer x >= start with admissible(x) and the integer
     polynomial coeffs (highest degree first) positive at x.  The caller
     guarantees such an x exists."""

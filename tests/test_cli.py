@@ -236,7 +236,8 @@ def test_exit_code_domain_error():
     for lam in ("1,0,1", "0,1", "2,0,2,0"):
         code, out, err = invoke(["gysin", "--n", "3", "--lambda", lam])
         assert code == 3 and out == "" and "must be positive" in err
-    for lam, same in (("0", "0,0,0"), ("2,2,0", "2,2"), ("1,1,1,0", "1,1,1")):
+    for lam, same in (("0", "0,0,0"), ("2,2,0", "2,2"), ("1,1,1,0", "1,1,1"),
+                      (" 2, 2 ", "2,2")):  # spaces around a field are allowed
         code, out, _ = invoke(["gysin", "--n", "3", "--lambda", lam])
         assert code == 0 and out == invoke(["gysin", "--n", "3",
                                             "--lambda", same])[1]
@@ -354,6 +355,11 @@ def test_exact_chi_prints_past_int_digit_limit(p2_file):
     ["table1", "--parallel", "1"],  # the no-op flag is gone
     ["segre", "--pair", "unused.json", "--k", "2", "--float"],  # it had no effect
     ["pieri", "--degrees", "2", "--float"],
+    ["pieri", "--degrees", "2,,1"],  # every field must be an integer
+    ["gysin", "--n", "3", "--lambda", "1,,1"],
+    ["gysin", "--n", "3", "--lambda", "2,1,"],
+    ["gysin", "--n", "3", "--lambda", ","],
+    ["gysin", "--n", "3", "--lambda", ""],
 ])
 def test_exit_code_malformed_argument(argv):
     code, out, err = invoke(argv)

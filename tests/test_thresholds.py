@@ -221,8 +221,8 @@ def test_integer_search_wants_strict_positivity():
     from orbichern.thresholds import _first_positive
 
     # (x - 2)(x - 3): zero at 2 and 3, positive from 4 on and below 2
-    assert _first_positive((1, -5, 6), 0) == 0
-    assert _first_positive((1, -5, 6), 2) == 4
+    assert _first_positive((1, -5, 6), 0, lambda x: True) == 0
+    assert _first_positive((1, -5, 6), 2, lambda x: True) == 4
     assert _first_positive((1, -5, 6), 0, lambda x: x % 2 == 1) == 1
     assert _first_positive((1, -5, 6), 2, lambda x: x % 2 == 1) == 5
 
