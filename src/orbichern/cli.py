@@ -95,11 +95,19 @@ def _emit(rows, columns, fmt, out):
 def _parse_order(text):
     if text in _INFINITY_WORDS:
         return INFINITE_ORDER
-    return int(text)  # argparse reports a ValueError as a malformed argument
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected an integer or inf, got %r" % text) from None
 
 
 def _parse_ints(text):
-    return [int(p) for p in text.split(",")]  # an empty field is a ValueError
+    try:
+        return [int(p) for p in text.split(",")]  # an empty field is a ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated integers "
+                                         "such as 2,2,1, got %r" % text) from None
 
 
 # -- subcommand handlers: args (with the pair loaded) -> rows -----------------

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, GeometryMismatch
-from .harmonic import diagonal_coefficient, harmonic_range
+from .harmonic import _diagonal, harmonic_prefixes
 from .ring import INFINITE_ORDER, Geometry, GradedClass, Multiplicity, _immutable
 
 #: Largest order for which chi is evaluated in exact arithmetic; the
@@ -204,11 +204,8 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
     lasts = [k if c.multiplicity.is_infinite
              else min(k, math.ceil(c.multiplicity.value) - 1)
              for c in pair.components]
-    prefix, prev = {0: [0] * n}, 0  # prefix[J][q - 1] = H^(q)(1..J)
-    for last in sorted(set(lasts) | {k}):  # one range per interval
-        prefix[last] = [h + Fraction(harmonic_range(prev + 1, last, q, not numeric))
-                        for q, h in enumerate(prefix[prev], 1)]
-        prev = last
+    # prefix[J][q - 1] = H_J^(q), for J = k and every component's last order
+    prefix = harmonic_prefixes(lasts + [k], n, exact=not numeric)
     log_c = _series(geom.tangent_chern.dual() - 1,  # constant term 1
                     [Fraction((-1) ** (r + 1), r) for r in range(1, n + 1)])
     total = -sum((log_c.component(q) * h for q, h in enumerate(prefix[k], 1)),
@@ -287,8 +284,10 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
             raise DomainError("needs k >= every finite multiplicity")
 
     c2 = geom.tangent_chern.component(2).integrate()
-    hk = harmonic_range(1, k, 1)
-    hk2 = harmonic_range(1, k, 2)
+    finite = [int(c.multiplicity.value) for c in pair.components
+              if not c.multiplicity.is_infinite]
+    prefix = harmonic_prefixes(finite + [k], 2)
+    hk, hk2 = prefix[k]
     total = -hk2 * c2
     factors = []
     for comp in pair.components:
@@ -297,8 +296,8 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
             factors.append((comp.divisor, hk, (hk * hk - hk2) / 2))
         else:
             mi = int(m.value)
-            factors.append((comp.divisor, harmonic_range(2, mi, 1),
-                            diagonal_coefficient(mi)))
+            factors.append((comp.divisor, prefix[mi][0] - 1,
+                            _diagonal(mi, prefix[mi])))
     for i, (div_i, s_i, diag_i) in enumerate(factors):
         total += diag_i * (div_i * div_i).integrate()
         for div_j, s_j, _ in factors[i + 1:]:

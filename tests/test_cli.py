@@ -366,6 +366,7 @@ def test_exit_code_malformed_argument(argv):
     named = [a for a in argv if a.startswith("--")][-1]  # the offending flag
     assert code == 2
     assert out == "" and named in err  # usage error goes to run's err
+    assert "_parse" not in err  # the expected form, not a private function name
 
 
 def test_help_goes_to_out():
