@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import orbifold, thresholds
 from .errors import DomainError, OrbichernError, PairFormatError
 from .gysin import gysin_coefficient, jump_data
-from .partitions import decompose_sym_tensor
+from .partitions import _sym_tensor_terms
 from .pairfile import load_pair
 from .ring import INFINITE_ORDER, _INFINITY_WORDS
 
@@ -197,8 +197,8 @@ def _cmd_gysin(args):
 
 
 def _cmd_pieri(args):
-    return [(str(mult), " ".join(map(str, lam.parts)) or "0")
-            for lam, mult in decompose_sym_tensor(args.degrees).sorted_terms()]
+    return [(str(mult), " ".join(map(str, parts)) or "0")
+            for parts, mult in _sym_tensor_terms(args.degrees)]
 
 
 def _cmd_summands(args):

@@ -3,12 +3,12 @@
 Products of symmetric powers decompose into Schur functors by iterated Pieri
 multiplication (adding horizontal strips); full Littlewood-Richardson is
 never needed here because every tensor factor in scope is a symmetric power.
-One stage kernel, `_pieri_stage`, serves both `pieri_multiply` and
-`decompose_sym_tensor`: it maps {parts tuple: mult} to a new dict,
-enumerating each strip directly as a vector of bounded row increments, so
-its cost is proportional to the number of (term, strip) pairs.
-`decompose_sym_tensor` runs its stages with the degrees in descending order
-and wraps the result as `Partition`s once, at the end.
+One stage kernel, `_strip_stage`, serves `pieri_multiply` and
+`decompose_sym_tensor` on packed keys: a partition is one int whose fields
+hold its parts, row 0 in the highest, each of w bits (the bit_length of the
+largest weight reached) plus a guard bit that is 0 in every key.  A strip
+is one integer addition, and for one weight the int order is the order of
+the parts, row 0 first: a reverse sort of the keys is `sorted_terms` order.
 The classical Weyl product formula supplies dimensions as an independent
 cross-check on the decompositions.
 
@@ -91,56 +91,79 @@ class Partition:
         return "Partition(%s)" % (self.parts,)
 
 
-def _pieri_stage(terms: dict, m: int) -> dict:
-    """One Pieri stage on plain tuples: {parts: mult} -> {mu: mult} summed
-    over every mu >= parts with mu/parts a horizontal strip of m boxes (at
-    most one added box per column, so rows interlace).
+def _strip_table(caps: int, tables: dict, m: int, size: int, unit0: int):
+    """(deltas, ends) for the rows capped in `caps`: the deltas that move
+    r <= m boxes from row 0 to those rows, by ascending r, and ends[r] how
+    many move at most r.  Each table extends the one without its lowest
+    capped row, and `tables` keeps them all, starting from {0: ([0], [1])},
+    so no table is longer than its rows can fill, however large m is."""
+    found = tables.get(caps)
+    if found is None:
+        s = ((caps & -caps).bit_length() - 1) // size * size
+        cap, u = caps >> s & ((1 << size) - 1), (1 << s) - unit0
+        rest = _strip_table(caps - (cap << s), tables, m, size, unit0)[0]
+        deltas = [d + e * u for d in rest
+                  for e in range(min(cap, m + d // unit0) + 1)]
+        deltas.sort(reverse=True)  # by ascending r, since d // unit0 is -r
+        r = [-(d // unit0) for d in deltas]
+        found = tables[caps] = deltas, [i for i in range(1, len(r))
+                                        if r[i] != r[i - 1]] + [len(r)]
+    return found
 
-    A strip is a vector of row increments e_i summing to m: e_0 is free,
-    e_i <= parts[i-1] - parts[i] for the rows below the first, and a new
-    last row takes e_n <= parts[-1] boxes.  Rows whose bound is 0 are
-    skipped.  Each loop starts at max(0, rem - room), where room is what the
-    rows after it can still take, so every branch ends in a strip and the
-    new row simply takes what is left: the cost is proportional to the
-    number of (term, strip) pairs, each added straight into the output.
+
+def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int):
+    """One Pieri stage: {key: mult} -> {key: mult} summed over every
+    horizontal strip of m boxes on rows 0..grow-1 (no input term has grow
+    rows); keys have `fields` fields of `size` bits, guard bit included.
+
+    Row 0 takes the boxes left by the rows below, row i at most
+    min(parts[i-1] - parts[i], m): the key shifted down a field, minus the
+    key without row 0, holds each gap in its row's field (none is negative,
+    so nothing borrows), and subtracting m under the guard bits caps them
+    all.  For m = 1 the capped gaps are the units of the rows that can take
+    the box.  Otherwise the capped gaps of the upper and of the lower half
+    of rows 1..grow-1 key tables of deltas by box count, and the strips are
+    upper[j] x lower[k] for j + k <= m: one addition and one dict update.
     """
     if not m:
-        return dict(terms)
-    out = {}
+        return terms
+    w, unit0 = size - 1, 1 << size * (fields - 1)
+    ones = (unit0 - 1) // ((1 << size) - 1)  # a 1 in each field but row 0's
+    guard, mm = ones << w, ones * m
+    low = (1 << size * (fields - 1 - grow // 2)) - 1  # rows past grow // 2
+    tables, out = {0: ([0], [1])}, {}
     get = out.get
-    for parts, mult in terms.items():
-        if not parts:
-            out[m,] = get((m,), 0) + mult
+    for key, mult in terms.items():
+        g = (key >> size) - (key & unit0 - 1)  # parts[i-1] - parts[i]
+        f = ((g | guard) - mm) & guard  # the guard bits of gaps >= m
+        c = g ^ ((g ^ mm) & (f - (f >> w)))  # the caps of rows 1..grow-1
+        if m == 1:
+            c |= unit0  # row 0 can always take it
+            while c:
+                b = c & -c
+                out[key + b] = get(key + b, 0) + mult
+                c ^= b
             continue
-        active, caps = [0], [m]  # the rows that can grow, and their bounds
-        for i in range(1, len(parts)):
-            if parts[i - 1] > parts[i]:
-                active.append(i)
-                caps.append(parts[i - 1] - parts[i])
-        room = [parts[-1]] * len(active)  # what the rows after active[s] take
-        for s in range(len(active) - 2, -1, -1):
-            room[s] = room[s + 1] + caps[s + 1]
-        last = len(active) - 1
-        mu = list(parts)
-
-        def rec(s, rem):
-            i = active[s]
-            base = parts[i]
-            lo, hi = rem - room[s], caps[s]
-            span = range(lo if lo > 0 else 0, (hi if hi < rem else rem) + 1)
-            if s == last:
-                for e in span:
-                    mu[i] = base + e
-                    key = tuple(mu) + (rem - e,) if e < rem else tuple(mu)
-                    out[key] = get(key, 0) + mult
-            else:
-                for e in span:
-                    mu[i] = base + e
-                    rec(s + 1, rem - e)
-            mu[i] = base
-
-        rec(0, m)
+        ups, upper = _strip_table(c & ~low, tables, m, size, unit0)
+        lows, lower = _strip_table(c & low, tables, m, size, unit0)
+        key, start = key + m * unit0, 0
+        for j, end in enumerate(upper):
+            fit = lows if m - j >= len(lower) - 1 else lows[:lower[m - j]]
+            for du in ups[start:end]:
+                base = key + du
+                for dl in fit:
+                    k = base + dl
+                    out[k] = get(k, 0) + mult
+            start = end
     return out
+
+
+def _unpack(terms: dict, size: int, fields: int) -> list:
+    """The (parts tuple, mult) pairs of packed terms by descending key; a
+    partition has no zero before a part, so every zero field trails."""
+    mask, shifts = (1 << size) - 1, range(size * (fields - 1), -1, -size)
+    return [(tuple([p for p in [key >> s & mask for s in shifts] if p]), mult)
+            for key, mult in sorted(terms.items(), reverse=True)]
 
 
 class SchurExpansion:
@@ -160,19 +183,19 @@ class SchurExpansion:
                                   % (mult,))
             if mult < 0:
                 raise DomainError("multiplicities must be nonnegative")
-            if mult:
-                checked[lam] = int(mult)
+            if mult:  # two keys may name one partition: (2, 0) and (2,)
+                checked[lam] = checked.get(lam, 0) + int(mult)
         object.__setattr__(self, "terms", MappingProxyType(checked))
 
     __setattr__ = __delattr__ = _immutable
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "SchurExpansion":
-        """An expansion of {parts tuple: mult} already known to hold valid
-        partitions and positive int multiplicities; skips the checks."""
+    def _trusted(cls, pairs) -> "SchurExpansion":
+        """An expansion of distinct (parts tuple, mult) pairs known to hold
+        valid partitions and positive int multiplicities; skips the checks."""
         out = object.__new__(cls)
         object.__setattr__(out, "terms", MappingProxyType(
-            {Partition._trusted(parts): mult for parts, mult in terms.items()}))
+            {Partition._trusted(parts): mult for parts, mult in pairs}))
         return out
 
     def __eq__(self, other):
@@ -201,33 +224,46 @@ class SchurExpansion:
 
 def pieri_multiply(expansion: SchurExpansion, m: int) -> SchurExpansion:
     """Multiply by the m-th complete homogeneous functor (a horizontal
-    strip of m boxes on every term), multiplicities accumulated exactly."""
+    strip of m boxes on every term), multiplicities accumulated exactly;
+    keys get a field more than the longest term, fit for the heaviest + m."""
     if not _is_int(m) or m < 0:
         raise DomainError("strip size must be a nonnegative integer, got %r"
                           % (m,))
-    terms = {lam.parts: mult for lam, mult in expansion.terms.items()}
-    return SchurExpansion._trusted(_pieri_stage(terms, int(m)))
+    if not m or not expansion.terms:
+        return expansion
+    fields = max(map(len, expansion.terms)) + 1
+    size = (max(lam.weight for lam in expansion.terms) + m).bit_length() + 1
+    shifts = range(size * (fields - 1), -1, -size)
+    terms = {sum(p << s for p, s in zip(lam.parts, shifts)): mult
+             for lam, mult in expansion.terms.items()}
+    out = _strip_stage(terms, int(m), size, fields, fields)
+    return SchurExpansion._trusted(_unpack(out, size, fields))
 
 
-def decompose_sym_tensor(degrees) -> SchurExpansion:
-    """Schur decomposition of Sym^{a_1} x ... x Sym^{a_p}; every resulting
-    partition has at most p parts.
-
-    The product is commutative (Kostka numbers are symmetric in the
-    content), so the stages run on plain tuples with the degrees in
+def _sym_tensor_terms(degrees) -> list:
+    """The (parts tuple, mult) pairs of Sym^{a_1} x ... x Sym^{a_p} in
+    `sorted_terms` order.  The product is commutative (Kostka numbers are
+    symmetric in the content), so the stages run with the degrees in
     descending order, which keeps the intermediate expansions small: for
-    1..8 that makes 65,451 (term, strip) pairs instead of 145,618.
-    """
+    1..8 that makes 65,451 (term, strip) pairs instead of 145,618."""
     degrees = list(degrees)
     for a in degrees:
         if not _is_int(a):
             raise DomainError("degrees must be integers, got %r" % (a,))
         if a < 0:
             raise DomainError("degrees must be nonnegative")
-    terms = {(): 1}
-    for a in sorted(map(int, degrees), reverse=True):
-        terms = _pieri_stage(terms, a)
-    return SchurExpansion._trusted(terms)
+    degrees = sorted(map(int, degrees), reverse=True)
+    fields, size = sum(map(bool, degrees)), sum(degrees).bit_length() + 1
+    terms = {0: 1}
+    for grow, a in enumerate(degrees, start=1):  # one row more per stage
+        terms = _strip_stage(terms, a, size, fields, grow)
+    return _unpack(terms, size, fields)
+
+
+def decompose_sym_tensor(degrees) -> SchurExpansion:
+    """Schur decomposition of Sym^{a_1} x ... x Sym^{a_p}; every resulting
+    partition has at most p parts."""
+    return SchurExpansion._trusted(_sym_tensor_terms(degrees))
 
 
 def schur_dimension(lam, r: int) -> int:
@@ -235,8 +271,8 @@ def schur_dimension(lam, r: int) -> int:
     by the Weyl product formula; 0 when lam has more than r parts."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if r < 1:
-        raise DomainError("rank must be positive")
+    if not _is_int(r) or r < 1:
+        raise DomainError("rank must be a positive integer, got %r" % (r,))
     if len(lam) > r:
         return 0
     padded = lam.parts + (0,) * (r - len(lam))
@@ -253,10 +289,10 @@ def weighted_vectors(k: int, n_weight: int) -> list[tuple]:
 
     The count equals the number of partitions of the weight into parts <= k.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if n_weight < 0:
-        raise DomainError("weight must be >= 0")
+    if not _is_int(k) or k < 1:
+        raise DomainError("k must be an int >= 1, got %r" % (k,))
+    if not _is_int(n_weight) or n_weight < 0:
+        raise DomainError("weight must be an int >= 0, got %r" % (n_weight,))
     memo = {}
 
     def suffixes(j, remaining):

@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from orbichern.cli import run
 from orbichern.orbifold import OrbifoldPair, chi_k
 from orbichern.pairfile import load_pair
-from orbichern.partitions import graded_summands
+from orbichern.partitions import decompose_sym_tensor, graded_summands
 from orbichern.ring import projective_space
 
 P2_PAIR = ('{"geometry": {"preset": "P2"},'
@@ -96,6 +97,22 @@ def test_pieri_command():
     code, out, _ = invoke(["pieri", "--degrees", "2,1", "--format", "csv"])
     assert code == 0
     assert out.splitlines() == ["multiplicity,parts", "1,3", "1,2 1"]
+
+
+def test_pieri_rows_match_sorted_terms():
+    """`pieri` writes its rows straight from the packed stages; they equal a
+    rendering of the library's re-sorted `SchurExpansion.sorted_terms()`."""
+    rng = random.Random(3003)
+    lists = [[rng.randint(0, 5) for _ in range(rng.randint(1, 6))]
+             for _ in range(30)]
+    assert sum(0 in degrees for degrees in lists) >= 5
+    for degrees in lists + [[300, 200, 7], [1] * 16]:
+        argv = ["--degrees", ",".join(map(str, degrees)), "--format", "csv"]
+        code, out, err = invoke(["pieri"] + argv)
+        rows = ["%d,%s" % (mult, " ".join(map(str, lam.parts)) or "0")
+                for lam, mult in decompose_sym_tensor(degrees).sorted_terms()]
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["multiplicity,parts"] + rows
 
 
 def test_summands_command(p2_file):

@@ -7,7 +7,7 @@ import pytest
 from orbichern.errors import DomainError
 from orbichern.orbifold import OrbifoldPair
 from orbichern.partitions import (Partition, SchurExpansion,
-                                  _pieri_stage,
+                                  _strip_table, _sym_tensor_terms,
                                   decompose_sym_tensor, graded_summands,
                                   pieri_multiply, schur_dimension,
                                   weighted_vectors)
@@ -61,6 +61,69 @@ def all_partitions(weight, largest=None):
     for p in range(min(weight, largest or weight), 0, -1):
         for rest in all_partitions(weight - p, p):
             yield (p,) + rest
+
+
+def _pieri_stage(terms: dict, m: int) -> dict:
+    """One Pieri stage on plain tuples: {parts: mult} -> {mu: mult} summed
+    over every mu >= parts with mu/parts a horizontal strip of m boxes (at
+    most one added box per column, so rows interlace).
+
+    The tuple recursion the library ran before its stages moved to packed
+    keys; kept as the oracle for them.  A strip is a vector of row
+    increments e_i summing to m: e_0 is free, e_i <= parts[i-1] - parts[i]
+    for the rows below the first, and a new last row takes e_n <= parts[-1]
+    boxes.  Rows whose bound is 0 are skipped.  Each loop starts at
+    max(0, rem - room), where room is what the rows after it can still
+    take, so every branch ends in a strip and the new row simply takes what
+    is left.
+    """
+    if not m:
+        return dict(terms)
+    out = {}
+    get = out.get
+    for parts, mult in terms.items():
+        if not parts:
+            out[m,] = get((m,), 0) + mult
+            continue
+        active, caps = [0], [m]  # the rows that can grow, and their bounds
+        for i in range(1, len(parts)):
+            if parts[i - 1] > parts[i]:
+                active.append(i)
+                caps.append(parts[i - 1] - parts[i])
+        room = [parts[-1]] * len(active)  # what the rows after active[s] take
+        for s in range(len(active) - 2, -1, -1):
+            room[s] = room[s + 1] + caps[s + 1]
+        last = len(active) - 1
+        mu = list(parts)
+
+        def rec(s, rem):
+            i = active[s]
+            base = parts[i]
+            lo, hi = rem - room[s], caps[s]
+            span = range(lo if lo > 0 else 0, (hi if hi < rem else rem) + 1)
+            if s == last:
+                for e in span:
+                    mu[i] = base + e
+                    key = tuple(mu) + (rem - e,) if e < rem else tuple(mu)
+                    out[key] = get(key, 0) + mult
+            else:
+                for e in span:
+                    mu[i] = base + e
+                    rec(s + 1, rem - e)
+            mu[i] = base
+
+        rec(0, m)
+    return out
+
+
+def oracle_terms(degrees):
+    """(parts, mult) pairs of the degrees' product by the tuple stages,
+    sorted by weight and then by descending parts."""
+    terms = {(): 1}
+    for a in degrees:
+        terms = _pieri_stage(terms, a)
+    return sorted(terms.items(), key=lambda kv: (sum(kv[0]),
+                                                 tuple(-p for p in kv[0])))
 
 
 def reference_strips(parts, m):
@@ -138,8 +201,8 @@ def test_decompose_rejects_non_integral_degrees(degrees):
 def test_decompose_checks_every_degree_before_any_stage(monkeypatch):
     import orbichern.partitions as partitions
     stages = []
-    monkeypatch.setattr(partitions, "_pieri_stage",
-                        lambda terms, m: stages.append(m) or terms)
+    monkeypatch.setattr(partitions, "_strip_stage",
+                        lambda terms, m, *layout: stages.append(m) or terms)
     for degrees in ([3, -1], [-1, 3], [4, 2, "1"], [5, None]):
         with pytest.raises(DomainError):
             decompose_sym_tensor(degrees)
@@ -151,13 +214,13 @@ def test_decompose_checks_every_degree_before_any_stage(monkeypatch):
 def test_decompose_runs_stages_in_descending_order(monkeypatch):
     import orbichern.partitions as partitions
     stages = []
-    real = partitions._pieri_stage
+    real = partitions._strip_stage
 
-    def record(terms, m):
+    def record(terms, m, *layout):
         stages.append(m)
-        return real(terms, m)
+        return real(terms, m, *layout)
 
-    monkeypatch.setattr(partitions, "_pieri_stage", record)
+    monkeypatch.setattr(partitions, "_strip_stage", record)
     out = decompose_sym_tensor(iter([1, 3, 0, 2, 3]))
     assert stages == [3, 3, 2, 1, 0]
     assert out == decompose_sym_tensor([3, 3, 2, 1, 0])
@@ -178,7 +241,7 @@ def _closed_values():
     """Partitions and expansions from each constructor: checked, trusted,
     pieri_multiply and decompose_sym_tensor."""
     expansions = [SchurExpansion({(2, 1): 2, (): 1}),
-                  SchurExpansion._trusted({(3,): 1, (2, 1): 4}),
+                  SchurExpansion._trusted([((3,), 1), ((2, 1), 4)]),
                   pieri_multiply(SchurExpansion({(1,): 1}), 2),
                   decompose_sym_tensor([2, 1, 1])]
     partitions = [Partition((3, 1)), Partition._trusted((2, 2))]
@@ -206,6 +269,15 @@ def test_value_layer_is_closed():
         with pytest.raises(TypeError):
             del e.terms[next(iter(e.terms))]
         assert str(e) == before and Partition((5,)) not in e.terms
+
+
+def test_expansion_adds_multiplicities_of_equal_partitions():
+    # dropping trailing zeros can map two keys to one partition
+    assert str(SchurExpansion({(2, 0): 1, (2,): 3})) == "4*(2)"
+    assert str(SchurExpansion({Partition((2,)): 1, (2, 0, 0): 5})) == "6*(2)"
+    assert SchurExpansion({(2, 0): 0, (2,): 3}) == SchurExpansion({(2,): 3})
+    assert SchurExpansion({(): 2, (0,): 0, (0, 0): 1}).terms == {
+        Partition(()): 3}
 
 
 def test_expansion_copies_its_input():
@@ -278,9 +350,13 @@ def test_strips_match_reference_exhaustively():
     for weight in range(13):
         for parts in all_partitions(weight):
             for m in range(8):
+                expected = set(reference_strips(parts, m))
                 strips = _pieri_stage({parts: 1}, m)
                 assert set(strips.values()) == {1}  # no strip found twice
-                assert set(strips) == set(reference_strips(parts, m))
+                assert set(strips) == expected
+                packed = pieri_multiply(SchurExpansion({parts: 1}), m).terms
+                assert set(packed.values()) == {1}
+                assert {lam.parts for lam in packed} == expected
                 cases += 1
     assert cases == 8 * sum(partitions_into_parts_leq(w, w) for w in range(13))
 
@@ -297,9 +373,61 @@ def test_decompose_matches_iterated_pieri_in_given_order():
 
 def test_pieri_stage_sums_multiplicities():
     terms = {(2,): 3, (1, 1): 5}
-    assert _pieri_stage(terms, 1) == {(3,): 3, (2, 1): 8, (1, 1, 1): 5}
+    product = {(3,): 3, (2, 1): 8, (1, 1, 1): 5}
+    assert _pieri_stage(terms, 1) == product
     assert _pieri_stage(terms, 0) == terms
     assert _pieri_stage({(): 7}, 4) == {(4,): 7}
+    e = SchurExpansion(terms)
+    assert pieri_multiply(e, 1) == SchurExpansion(product)
+    assert pieri_multiply(e, 0) == e
+    assert pieri_multiply(SchurExpansion({(): 7}), 4) == SchurExpansion(
+        {(4,): 7})
+    assert pieri_multiply(SchurExpansion(), 3) == SchurExpansion()
+
+
+def test_pieri_multiply_matches_tuple_stage_on_mixed_weights():
+    rng = random.Random(2718)
+    shapes = [parts for w in range(10) for parts in all_partitions(w)]
+    heavy = [(250, 3), (255,), (128, 64, 64), (300, 200, 7), (1,) * 17]
+    for _ in range(80):
+        terms = {parts: rng.randint(1, 9)
+                 for parts in rng.sample(shapes, rng.randint(1, 12))}
+        if rng.random() < 0.3:
+            terms[rng.choice(heavy)] = rng.randint(1, 9)
+        m = rng.randint(0, 7)
+        out = pieri_multiply(SchurExpansion(terms), m)
+        assert out == SchurExpansion(_pieri_stage(terms, m))
+
+
+def test_strip_tables_are_as_long_as_their_rows_can_fill():
+    # a row at field 1 of 4-bit fields, capped at 3, under a strip of a
+    # million boxes: each box it takes moves from row 0 to it
+    unit0, step = 1 << 8, (1 << 4) - (1 << 8)
+    tables = {0: ([0], [1])}
+    assert _strip_table(3 << 4, tables, 10 ** 6, 4, unit0) == (
+        [0, step, 2 * step, 3 * step], [1, 2, 3, 4])
+    assert _strip_table(0, tables, 10 ** 6, 4, unit0) == ([0], [1])
+    big = 10 ** 6
+    assert decompose_sym_tensor([big, 2]) == SchurExpansion(
+        {(big + 2,): 1, (big + 1, 1): 1, (big, 2): 1})
+
+
+@pytest.mark.parametrize("degrees", [
+    [], [0], [0, 0], [3, 0, 2], [0, 4, 0, 0, 1, 2], [300, 200, 7],
+    [255, 1], [128, 127, 1], [1] * 16, [1] * 17, [2, 1] * 8, [9, 1, 1, 7]])
+def test_packed_stages_match_tuple_stages(degrees):
+    expected = oracle_terms(sorted(degrees, reverse=True))
+    assert _sym_tensor_terms(degrees) == expected
+    assert _sym_tensor_terms(degrees[::-1]) == expected
+    assert decompose_sym_tensor(degrees).sorted_terms() == [
+        (Partition(parts), mult) for parts, mult in expected]
+
+
+def test_packed_stages_match_tuple_stages_seeded():
+    rng = random.Random(1515)
+    for _ in range(60):
+        degrees = [rng.randint(0, 7) for _ in range(rng.randint(1, 7))]
+        assert _sym_tensor_terms(degrees) == oracle_terms(degrees)
 
 
 def test_pieri_outputs_are_valid_partitions():
@@ -366,12 +494,26 @@ def test_dimension_consistency_identity():
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("r", [True, False, 2.5, 2.0, "3", None, F(3)])
+def test_schur_dimension_rejects_non_integral_rank(r):
+    with pytest.raises(DomainError, match="rank must be a positive integer"):
+        schur_dimension((2, 1), r)
+
+
 # -- weighted vectors --------------------------------------------------------------
 
 def test_weighted_vectors_examples():
     assert weighted_vectors(2, 4) == [(4, 0), (2, 1), (0, 2)]
     assert weighted_vectors(1, 5) == [(5,)]
     assert len(weighted_vectors(3, 6)) == 7
+
+
+@pytest.mark.parametrize("k,n_weight", [
+    (True, 3), (2, 3.0), (2.0, 3), (2, True), (2, False), ("2", 3), (2, None),
+    (F(2), 3)])
+def test_weighted_vectors_rejects_non_integral_arguments(k, n_weight):
+    with pytest.raises(DomainError):
+        weighted_vectors(k, n_weight)
 
 
 def test_weighted_vectors_invariant_and_counts():
