@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import orbifold, thresholds
 from .errors import DomainError, OrbichernError, PairFormatError
 from .gysin import gysin_coefficient, jump_data
-from .partitions import _sym_tensor_terms
+from .partitions import _decode, _sym_tensor_keys
 from .pairfile import load_pair
 from .ring import INFINITE_ORDER, _INFINITY_WORDS
 
@@ -197,8 +197,15 @@ def _cmd_gysin(args):
 
 
 def _cmd_pieri(args):
-    return [(str(mult), " ".join(map(str, parts)) or "0")
-            for parts, mult in _sym_tensor_terms(args.degrees)]
+    # each distinct half-key is rendered once, the upper half as "a b" and
+    # the lower as " c d", and each distinct multiplicity once
+    terms, size, fields = _sym_tensor_keys(args.degrees)
+    texts = _decode(terms, size, fields,
+                    lambda parts: " ".join(map(str, parts)),
+                    lambda parts: "".join([" %d" % p for p in parts]))
+    mults = {mult: str(mult) for mult in {mult for _, mult in terms}}
+    return [(mults[mult], text or "0")
+            for text, (_, mult) in zip(texts, terms)]
 
 
 def _cmd_summands(args):

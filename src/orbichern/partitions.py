@@ -9,6 +9,15 @@ hold its parts, row 0 in the highest, each of w bits (the bit_length of the
 largest weight reached) plus a guard bit that is 0 in every key.  A strip
 is one integer addition, and for one weight the int order is the order of
 the parts, row 0 first: a reverse sort of the keys is `sorted_terms` order.
+The stages of one strip size share their strip tables, which are dropped
+when the size changes, so nothing is cached past a call.  A stage loops
+over the strips of at most two outer rows and, inside, over a table for
+the rows below them, so the inner loops are long (`_strip_stage` gives the
+rule and its measurement); a one-box stage reads a cached list of unit
+deltas per set of rows that can take the box.  One decoder, `_decode`,
+renders each distinct upper and lower half of the final keys once: as
+tuples for `SchurExpansion`, and as text for the `pieri` command, which
+builds its rows from the two texts.
 The classical Weyl product formula supplies dimensions as an independent
 cross-check on the decompositions.
 
@@ -20,6 +29,8 @@ AttributeError, and `SchurExpansion.terms` is a read-only mapping.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import and_, rshift
 from types import MappingProxyType
 
 from .errors import DomainError
@@ -96,7 +107,12 @@ def _strip_table(caps: int, tables: dict, m: int, size: int, unit0: int):
     r <= m boxes from row 0 to those rows, by ascending r, and ends[r] how
     many move at most r.  Each table extends the one without its lowest
     capped row, and `tables` keeps them all, starting from {0: ([0], [1])},
-    so no table is longer than its rows can fill, however large m is."""
+    so no table is longer than its rows can fill, however large m is.
+
+    A table depends on (caps, m, size, unit0) alone, and the last two are
+    fixed by the key layout, so one `tables` dict serves every stage of one
+    call with strip size m: 4^8 builds 337 tables where a dict per stage
+    would build 627, 6^6 171 where it would build 297."""
     found = tables.get(caps)
     if found is None:
         s = ((caps & -caps).bit_length() - 1) // size * size
@@ -111,59 +127,150 @@ def _strip_table(caps: int, tables: dict, m: int, size: int, unit0: int):
     return found
 
 
-def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int):
+# A lower table keeps its prefixes while they hold at most this many times
+# its own deltas; past that they grow quadratically in its caps (a single
+# row capped at c has c(c+1)/2 prefix entries), and the stage slices.
+_PREFIX_BOUND = 4
+
+
+def _lower_table(table, m: int):
+    """(deltas, ends, prefixes, top) of a strip table for the lower rows of
+    a stage of m boxes: top = m + 1 - len(ends) is the most boxes the outer
+    rows can take and still leave room for every lower delta, and
+    prefixes[r] is deltas[:ends[r]], the deltas that move at most r boxes,
+    or prefixes is None when those lists would hold more than _PREFIX_BOUND
+    times the table's deltas."""
+    deltas, ends = table
+    prefixes = None
+    if sum(ends) - ends[-1] <= _PREFIX_BOUND * ends[-1]:
+        prefixes = [deltas[:e] for e in ends[:-1]] + [deltas]
+    return deltas, ends, prefixes, m + 1 - len(ends)
+
+
+def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int,
+                 tables: dict):
     """One Pieri stage: {key: mult} -> {key: mult} summed over every
     horizontal strip of m boxes on rows 0..grow-1 (no input term has grow
     rows); keys have `fields` fields of `size` bits, guard bit included.
+    `tables` is a cache the caller may share between stages of one key
+    layout: tables[m] holds the strip tables of strip size m (for m = 1,
+    the unit lists).
 
     Row 0 takes the boxes left by the rows below, row i at most
     min(parts[i-1] - parts[i], m): the key shifted down a field, minus the
     key without row 0, holds each gap in its row's field (none is negative,
     so nothing borrows), and subtracting m under the guard bits caps them
-    all.  For m = 1 the capped gaps are the units of the rows that can take
-    the box.  Otherwise the capped gaps of the upper and of the lower half
-    of rows 1..grow-1 key tables of deltas by box count, and the strips are
-    upper[j] x lower[k] for j + k <= m: one addition and one dict update.
+    all.  For m = 1 the rows with a gap, and row 0, can take the box, and
+    the list of their units is cached per set of rows: the last stage of
+    8..1 has 3,344 terms and 109 distinct sets.
+
+    Otherwise the capped gaps of the outer rows 1..min(2, grow // 2) key
+    one table and those of the rows below key another, and the strips are
+    outer[j] x lower[k] for j + k <= m: one addition and one dict update
+    each.  The outer loop runs over the at most two outer rows' deltas, so
+    the inner lists over the lower rows are long: on the last stage of 4^8
+    the outer rows 1..grow // 2 made 29,924 inner loops of 1.9 pairs on
+    average, rows 1..2 make 11,559 of 5.0.  The outer deltas moving at most
+    m + 1 - len(lower ends) boxes pair with the whole lower table in one
+    run; each later count j pairs with the lower deltas of at most m - j
+    boxes, a prefix kept by `_lower_table` or sliced.
     """
     if not m:
         return terms
     w, unit0 = size - 1, 1 << size * (fields - 1)
     ones = (unit0 - 1) // ((1 << size) - 1)  # a 1 in each field but row 0's
-    guard, mm = ones << w, ones * m
-    low = (1 << size * (fields - 1 - grow // 2)) - 1  # rows past grow // 2
-    tables, out = {0: ([0], [1])}, {}
+    guard = ones << w
+    out = {}
     get = out.get
+    if m == 1:
+        units = tables.setdefault(1, {})
+        for key, mult in terms.items():
+            g = (key >> size) - (key & unit0 - 1)  # parts[i-1] - parts[i]
+            c = (((g | guard) - ones) & guard) >> w  # a 1 in rows with a gap
+            found = units.get(c)
+            if found is None:
+                found = units[c] = []
+                c |= unit0  # row 0 can always take it
+                while c:
+                    b = c & -c
+                    found.append(b)
+                    c ^= b
+            for b in found:
+                k = key + b
+                out[k] = get(k, 0) + mult
+        return out
+    mm, shift = ones * m, m * unit0
+    known, lowers = tables.setdefault(m, ({0: ([0], [1])}, {}))
+    outer = -1 << size * (fields - 1 - min(2, grow // 2))  # rows 0..2 at most
     for key, mult in terms.items():
         g = (key >> size) - (key & unit0 - 1)  # parts[i-1] - parts[i]
         f = ((g | guard) - mm) & guard  # the guard bits of gaps >= m
         c = g ^ ((g ^ mm) & (f - (f >> w)))  # the caps of rows 1..grow-1
-        if m == 1:
-            c |= unit0  # row 0 can always take it
-            while c:
-                b = c & -c
-                out[key + b] = get(key + b, 0) + mult
-                c ^= b
-            continue
-        ups, upper = _strip_table(c & ~low, tables, m, size, unit0)
-        lows, lower = _strip_table(c & low, tables, m, size, unit0)
-        key, start = key + m * unit0, 0
-        for j, end in enumerate(upper):
-            fit = lows if m - j >= len(lower) - 1 else lows[:lower[m - j]]
+        cu = c & outer
+        ups, upper = known.get(cu) or _strip_table(cu, known, m, size, unit0)
+        cl = c - cu
+        lower = lowers.get(cl)
+        if lower is None:
+            lower = lowers[cl] = _lower_table(
+                known.get(cl) or _strip_table(cl, known, m, size, unit0), m)
+        lows, ends, prefixes, top = lower
+        j, start = top, 0
+        key += shift
+        # the outer deltas of at most top boxes run first, in one run (to
+        # the end of ups when no outer count passes top), then one run per
+        # count, each with the lower deltas that still fit
+        for end in upper[top:] or upper[-1:]:
+            fit = (lows if j <= top else prefixes[m - j] if prefixes
+                   else lows[:ends[m - j]])
             for du in ups[start:end]:
                 base = key + du
                 for dl in fit:
                     k = base + dl
                     out[k] = get(k, 0) + mult
-            start = end
+            start, j = end, j + 1
     return out
 
 
-def _unpack(terms: dict, size: int, fields: int) -> list:
-    """The (parts tuple, mult) pairs of packed terms by descending key; a
-    partition has no zero before a part, so every zero field trails."""
-    mask, shifts = (1 << size) - 1, range(size * (fields - 1), -1, -size)
-    return [(tuple([p for p in [key >> s & mask for s in shifts] if p]), mult)
-            for key, mult in sorted(terms.items(), reverse=True)]
+def _decode(terms, size: int, fields: int, upper, lower) -> list:
+    """upper(parts of the upper half) + lower(parts of the lower half) of
+    each key of the (key, mult) pairs, in their order: the one decoder of
+    packed keys.  A key is cut into an upper half, row 0 first, and a lower
+    half; each distinct half is decoded once, a column of fields at a time,
+    and rendered by the caller's function, which gets an iterator over its
+    nonzero parts.  A zero part is followed by zeros only, so a key's parts
+    are its upper half's followed by its lower half's.
+
+    The lower half holds three quarters of the rows below row 0, rounded
+    down.  At one weight row 0 follows from the rest, and the long rows
+    vary most, so the short rows are the ones keys share: the 5,088 keys of
+    8..1 have 924 distinct upper and 274 distinct lower halves, the 3,319
+    of 4^8 719 and 280.  With two fields the lower half is empty, since no
+    two keys of one weight share either row.
+    """
+    below = max(fields - 1, 0) * 3 // 4  # the fields of the lower half
+    split, mask = size * below, (1 << size) - 1
+
+    def halves(found, n, render):
+        # found holds the distinct halves of n fields as keys; the columns
+        # read their fields lazily, highest first (a half of no fields is 0
+        # and reads as one zero field)
+        columns = [map(and_, map(rshift, found, repeat(s)), repeat(mask))
+                   for s in range(size * max(n - 1, 0), -1, -size)]
+        for half, parts in zip(found, zip(*columns)):
+            found[half] = render(filter(None, parts))
+        return found
+
+    low = (1 << split) - 1
+    uppers = halves({k >> split: None for k, _ in terms}, fields - below,
+                    upper)
+    lowers = halves({k & low: None for k, _ in terms}, below, lower)
+    return [uppers[k >> split] + lowers[k & low] for k, _ in terms]
+
+
+def _unpack(terms: list, size: int, fields: int) -> list:
+    """The (parts tuple, mult) pairs of (key, mult) pairs, in their order."""
+    return list(zip(_decode(terms, size, fields, tuple, tuple),
+                    [mult for _, mult in terms]))
 
 
 class SchurExpansion:
@@ -236,16 +343,20 @@ def pieri_multiply(expansion: SchurExpansion, m: int) -> SchurExpansion:
     shifts = range(size * (fields - 1), -1, -size)
     terms = {sum(p << s for p, s in zip(lam.parts, shifts)): mult
              for lam, mult in expansion.terms.items()}
-    out = _strip_stage(terms, int(m), size, fields, fields)
-    return SchurExpansion._trusted(_unpack(out, size, fields))
+    out = _strip_stage(terms, int(m), size, fields, fields, {})
+    return SchurExpansion._trusted(
+        _unpack(sorted(out.items(), reverse=True), size, fields))
 
 
-def _sym_tensor_terms(degrees) -> list:
-    """The (parts tuple, mult) pairs of Sym^{a_1} x ... x Sym^{a_p} in
-    `sorted_terms` order.  The product is commutative (Kostka numbers are
-    symmetric in the content), so the stages run with the degrees in
-    descending order, which keeps the intermediate expansions small: for
-    1..8 that makes 65,451 (term, strip) pairs instead of 145,618."""
+def _sym_tensor_keys(degrees):
+    """(terms, size, fields): the (key, mult) pairs of Sym^{a_1} x ... x
+    Sym^{a_p} by descending key, which is `sorted_terms` order, and their
+    key layout.  The product is commutative (Kostka numbers are symmetric
+    in the content), so the stages run with the degrees in descending
+    order, which keeps the intermediate expansions small: for 1..8 that
+    makes 65,451 (term, strip) pairs instead of 145,618.  The stages of one
+    size run one after another and share their strip tables, which are
+    dropped before the next size's stages build theirs."""
     degrees = list(degrees)
     for a in degrees:
         if not _is_int(a):
@@ -254,10 +365,19 @@ def _sym_tensor_terms(degrees) -> list:
             raise DomainError("degrees must be nonnegative")
     degrees = sorted(map(int, degrees), reverse=True)
     fields, size = sum(map(bool, degrees)), sum(degrees).bit_length() + 1
-    terms = {0: 1}
+    terms, tables = {0: 1}, {}
     for grow, a in enumerate(degrees, start=1):  # one row more per stage
-        terms = _strip_stage(terms, a, size, fields, grow)
-    return _unpack(terms, size, fields)
+        if a not in tables:  # a new size: no later stage needs the old one
+            tables = {}
+        terms = _strip_stage(terms, a, size, fields, grow, tables)
+    del tables  # freed before the sort allocates
+    return [(k, terms[k]) for k in sorted(terms, reverse=True)], size, fields
+
+
+def _sym_tensor_terms(degrees) -> list:
+    """The (parts tuple, mult) pairs of the product, in `sorted_terms`
+    order."""
+    return _unpack(*_sym_tensor_keys(degrees))
 
 
 def decompose_sym_tensor(degrees) -> SchurExpansion:

@@ -54,3 +54,19 @@ def random_class(geom, rng: random.Random, unit=False) -> GradedClass:
 def assert_truncated(cls: GradedClass):
     for exps in cls.coeffs:
         assert exps in cls.geometry.degree  # weighted degree <= dim
+
+
+def pieri_degree_lists():
+    """Degree lists that reach the Pieri stages' less common paths."""
+    rng = random.Random(1717)
+    # 6-10 positive degrees: from the sixth stage on, the outer rows of a
+    # stage (at most two) are fewer than half of the rows below row 0
+    lists = [[rng.randint(1, 4) for _ in range(rng.randint(6, 10))]
+             for _ in range(8)]
+    lists += [[3] * 7, [2] * 10, [4, 4, 4, 3, 3, 3]]  # stages sharing tables
+    lists += [[6, 5, 5, 1], [5, 5, 5, 1, 1], [4, 4, 4, 4, 1, 1, 1]]  # one box
+    # odd and even field counts, fields wider than 8 bits, multiplicities of
+    # 7 digits or more
+    lists += [[130, 130, 1, 1, 1], [300, 2, 2, 2, 2, 2, 2, 2],
+              [260, 3, 3, 2, 2, 2, 1, 1, 1], [1] * 17]
+    return lists

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import pieri_degree_lists
 
 from orbichern.cli import run
 from orbichern.orbifold import OrbifoldPair, chi_k
@@ -100,13 +101,14 @@ def test_pieri_command():
 
 
 def test_pieri_rows_match_sorted_terms():
-    """`pieri` writes its rows straight from the packed stages; they equal a
-    rendering of the library's re-sorted `SchurExpansion.sorted_terms()`."""
+    """`pieri` writes its rows from the packed keys, through the cached
+    texts of their halves; they equal a rendering of the library's
+    re-sorted `SchurExpansion.sorted_terms()`."""
     rng = random.Random(3003)
     lists = [[rng.randint(0, 5) for _ in range(rng.randint(1, 6))]
              for _ in range(30)]
     assert sum(0 in degrees for degrees in lists) >= 5
-    for degrees in lists + [[300, 200, 7], [1] * 16]:
+    for degrees in lists + [[300, 200, 7], [1] * 16] + pieri_degree_lists():
         argv = ["--degrees", ",".join(map(str, degrees)), "--format", "csv"]
         code, out, err = invoke(["pieri"] + argv)
         rows = ["%d,%s" % (mult, " ".join(map(str, lam.parts)) or "0")

@@ -3,11 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import pieri_degree_lists
 
 from orbichern.errors import DomainError
 from orbichern.orbifold import OrbifoldPair
-from orbichern.partitions import (Partition, SchurExpansion,
-                                  _strip_table, _sym_tensor_terms,
+from orbichern.partitions import (_PREFIX_BOUND, Partition, SchurExpansion,
+                                  _strip_table, _sym_tensor_keys,
+                                  _sym_tensor_terms, _unpack,
                                   decompose_sym_tensor, graded_summands,
                                   pieri_multiply, schur_dimension,
                                   weighted_vectors)
@@ -410,6 +412,101 @@ def test_strip_tables_are_as_long_as_their_rows_can_fill():
     big = 10 ** 6
     assert decompose_sym_tensor([big, 2]) == SchurExpansion(
         {(big + 2,): 1, (big + 1, 1): 1, (big, 2): 1})
+
+
+def test_strip_tables_hold_a_bounded_multiple_of_their_deltas(monkeypatch):
+    # what the caches hold besides the deltas (the ends lists and the kept
+    # prefixes) stays within a small multiple of them, even with a table
+    # of 3,001 deltas at m = 3000
+    import orbichern.partitions as partitions
+    caches = []
+    real = partitions._strip_stage
+
+    def record(terms, m, size, fields, grow, tables):
+        caches.append(tables)
+        return real(terms, m, size, fields, grow, tables)
+
+    monkeypatch.setattr(partitions, "_strip_stage", record)
+    _sym_tensor_keys([3000, 3000, 5])
+    assert caches[0] is caches[1] and caches[2] is not caches[0]
+    assert (list(caches[0]), list(caches[2])) == ([3000], [5])
+    deltas = held = 0
+    for known, lowers in [caches[0][3000], caches[2][5]]:
+        for table_deltas, ends in known.values():
+            deltas += len(table_deltas)
+            held += len(table_deltas) + len(ends)
+        for caps, (table_deltas, ends, prefixes, _) in lowers.items():
+            assert table_deltas is known[caps][0]  # the table, not a copy
+            kept = sum(map(len, prefixes[:-1])) if prefixes else 0
+            assert kept <= _PREFIX_BOUND * len(table_deltas)
+            held += kept
+    assert max(len(t[0]) for t in caches[0][3000][0].values()) == 3001
+    assert held <= 3 * deltas
+
+
+def test_stages_of_one_strip_size_share_one_cache(monkeypatch):
+    import orbichern.partitions as partitions
+    seen = []  # (m, the strip sizes cached before the stage, the cache)
+    real = partitions._strip_stage
+
+    def record(terms, m, size, fields, grow, tables):
+        seen.append((m, sorted(tables), tables))
+        return real(terms, m, size, fields, grow, tables)
+
+    monkeypatch.setattr(partitions, "_strip_stage", record)
+    _sym_tensor_keys([4, 4, 3, 3, 1, 1])
+    assert [(m, cached) for m, cached, _ in seen] == [
+        (4, []), (4, [4]), (3, []), (3, [3]), (1, []), (1, [1])]
+    caches = [tables for _, _, tables in seen]
+    assert [caches[i] is caches[i + 1] for i in range(5)] == [
+        True, False, True, False, True]
+    _sym_tensor_keys([1])  # a new call starts from an empty cache
+    assert seen[6][:2] == (1, []) and seen[6][2] is not caches[5]
+
+
+@pytest.mark.parametrize("degrees", pieri_degree_lists())
+def test_packed_stages_match_tuple_stages_on_wide_lists(degrees):
+    assert _sym_tensor_terms(degrees) == oracle_terms(
+        sorted(degrees, reverse=True))
+
+
+def test_wide_lists_reach_every_decoder_layout():
+    layouts = [_sym_tensor_keys(degrees) for degrees in pieri_degree_lists()]
+    fields = {f for _, _, f in layouts}
+    assert {f % 2 for f in fields} == {0, 1} and max(fields) >= 10
+    assert max(size for _, size, _ in layouts) - 1 > 8  # guard bit aside
+    assert max(mult for terms, _, _ in layouts for _, mult in terms) >= 10 ** 6
+    assert sum(len(d) >= 6 and min(d) > 0 for d in pieri_degree_lists()) >= 8
+
+
+def test_unpack_decodes_every_field_count_and_width():
+    rng = random.Random(4343)
+    for fields in range(13):
+        for size in (2, 5, 9, 14):
+            top = (1 << size - 1) - 1  # the largest part a field holds
+            shifts = range(size * (fields - 1), -1, -size)
+            by_key = {}
+            for _ in range(40):
+                n = rng.randint(0, fields)
+                parts = tuple(sorted((rng.randint(1, top) for _ in range(n)),
+                                     reverse=True))
+                by_key[sum(p << s for p, s in zip(parts, shifts))] = parts
+            terms = sorted(((k, rng.randint(1, 10 ** 9)) for k in by_key),
+                           reverse=True)
+            assert _unpack(terms, size, fields) == [(by_key[k], mult)
+                                                    for k, mult in terms]
+
+
+def test_pieri_multiply_matches_tuple_stage_on_long_terms():
+    rng = random.Random(6161)
+    long = [parts for w in range(6, 15) for parts in all_partitions(w)
+            if len(parts) >= 6]
+    for _ in range(40):
+        terms = {parts: rng.randint(1, 10 ** 7)
+                 for parts in rng.sample(long, rng.randint(1, 10))}
+        m = rng.randint(1, 6)
+        out = pieri_multiply(SchurExpansion(terms), m)
+        assert out == SchurExpansion(_pieri_stage(terms, m))
 
 
 @pytest.mark.parametrize("degrees", [
