@@ -37,7 +37,7 @@ quintic = OrbifoldPair(P2, [(h * 5, "inf")])
 rate = log_asymptotic_coefficient(quintic)
 print("rate (K + log part)^2 / 2! =", rate)
 for k in (10 ** 2, 10 ** 4, 10 ** 6):
-    value = chi_k(quintic, k, numeric=True)  # binary64 mode for large k
+    value = chi_k(quintic, k, numeric=True)  # numeric mode for large k
     print("  k=10^%d: chi_k = %10.2f   ratio to rate*(ln k)^2 = %.4f"
           % (round(math.log10(k)), value, value / (float(rate) * math.log(k) ** 2)))
 

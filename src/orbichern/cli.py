@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: chi, leading, segre, canonical, table1, minmult, lines, k3scan,
-gysin, pieri, summands.  Numeric output is exact ("p/q"); --float switches
-chi, leading, table1, minmult, lines, k3scan and gysin to binary64.  --format
+gysin, pieri, summands.  Numeric output is exact ("p/q"); --float rounds
+chi, leading, table1, minmult, lines, k3scan and gysin to 12 digits, and
+takes chi past k = 10^4 with rational harmonic tails within 1e-23.  --format
 selects table, csv or json (scan commands emit one JSON object per line).
 --lambda and --degrees take comma-separated integers with no empty field;
 --lambda 0 is the empty partition.
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table")
         if numeric:
             p.add_argument("--float", action="store_true",
-                           help="binary64 evaluation and 12-digit printing")
+                           help="12-digit printing; chi also evaluates numerically")
         if pair:
             p.add_argument("--pair", required=True, metavar="FILE",
                            help="JSON pair description")

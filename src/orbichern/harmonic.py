@@ -3,42 +3,40 @@
 Exact sums walk j once, in blocks of at most _BLOCK consecutive integers:
 each block is summed over its own lcm and scaled onto the lcm L of all blocks
 so far, so a sum of j^-q up to J is one numerator over L^q (about 1.44 q J
-bits) and costs one gcd to normalize.  Binary64 sums cost the same at any
-length.
+bits) and costs one gcd to normalize; `_tail` encloses long sums cheaply.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context
 from fractions import Fraction
 
 from .errors import DomainError
 
 _BLOCK = 64
 
-# Euler-Maclaurin (derivative order 2p - 1, B_2p / (2p)!) for p = 1..6.
-_EULER_MACLAURIN = [(o, Fraction(b) / math.factorial(o + 1)) for o, b in zip(
-    (1, 3, 5, 7, 9, 11), ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730"))]
+# (derivative order o, _EM_DEN B_(o+1)/(o+1)!) per Euler-Maclaurin end term, B_1 = 1/2
+_EM_DEN = math.factorial(15)  # 2730 * 12!, so every weight is an integer
+_EULER_MACLAURIN = [(o, int(_EM_DEN * Fraction(b) / math.factorial(o + 1))) for o, b
+                    in zip((0, 1, 3, 5, 7, 9, 11),
+                           "1/2 1/6 -1/30 1/42 -1/30 5/66 -691/2730".split())]
 
 
 def harmonic_prefixes(ends, n, exact=True):
     """{J: [H_J^(1), ..., H_J^(n)]} for every J in ends, H_J^(q) = sum_{j<=J}
-    j^-q as Fractions (0 at J = 0).
-
-    With exact=False each interval between consecutive ends is summed by
-    harmonic_range(exact=False), and the binary64 values accumulate exactly.
-    """
+    j^-q as Fractions (0 at J = 0); with exact=False, an end J >= 64 gets
+    H_63^(q) plus `_tail`(64, J, q)'s value, within 1e-23 of H_J^(q)."""
     ends = sorted(set(ends))
     if ends and ends[0] < 0:
         raise DomainError("harmonic sums need ends >= 0")
     if exact:
         return _block_sums(1, ends, range(1, n + 1))
-    out, prev, row = {}, 0, [Fraction(0)] * n
-    for end in ends:
-        row = [h + Fraction(harmonic_range(prev + 1, end, q, exact=False))
-               for q, h in enumerate(row, 1)]
-        out[end], prev = row, end
-    return out
+    head = _block_sums(1, [J for J in ends if J < _BLOCK] + [_BLOCK - 1],
+                       range(1, n + 1))
+    return {J: head[J] if J < _BLOCK else [h + _tail(_BLOCK, J, q)[0] for q, h
+                                           in enumerate(head[_BLOCK - 1], 1)]
+            for J in ends}
 
 
 def _block_sums(first, ends, powers):
@@ -63,32 +61,34 @@ def _block_sums(first, ends, powers):
     return out
 
 
-def harmonic_range(a, b, power=1, exact=True):
-    """Sum of 1/j**power over a <= j <= b, for a >= 1 (0 when b < a).
-
-    With exact=False the terms j < 64 are summed directly and the rest,
-    c = max(a, 64) <= j <= b, by Euler-Maclaurin with B_2..B_12 for
-    f(x) = x^-q, q = power: int_c^b f + (f(c) + f(b))/2 + sum_{p=1..6}
-    B_2p/(2p)! (f^(2p-1)(b) - f^(2p-1)(c)) + R.  As f^(12) > 0, |R| <=
-    2 zeta(12)/(2 pi)^12 int_c^b f^(12) < 5.3e-10 q(q+1)...(q+10) c^-(q+11),
-    under 1e-17 f(c) for q <= 8.  Each c^-s - b^-s is c^-s (1 - (c/b)^s) via
-    log1p and expm1, so short ranges do not cancel.
-    """
+def harmonic_range(a, b, power=1):
+    """Sum of 1/j**power over a <= j <= b, a Fraction; a >= 1, 0 when b < a."""
     if a < 1:
         raise DomainError("harmonic ranges start at j >= 1")
-    if exact:
-        return _block_sums(a, [b], (power,))[b][0] if a <= b else Fraction(0)
-    c = max(a, 64)
-    terms = [1 / j ** power for j in range(a, min(b, c - 1) + 1)]
-    if b >= c:
-        log_ratio = math.log1p((b - c) / c)
-        def drop(s):  # c^-s - b^-s
-            return c ** -s * -math.expm1(-s * log_ratio)
-        terms.append(log_ratio if power == 1 else drop(power - 1) / (power - 1))
-        terms.append((c ** -power + b ** -power) / 2)
-        terms += [float(w * math.prod(range(power, power + o))) * drop(power + o)
-                  for o, w in _EULER_MACLAURIN]  # -f^(o) = q...(q+o-1) x^-(q+o)
-    return math.fsum(terms)
+    return _block_sums(a, [b], (power,))[b][0] if a <= b else Fraction(0)
+
+
+def _tail(c, J, q):
+    """(value, radius), rationals with |sum_{j=c..J} j^-q - value| < radius
+    for 1 <= c <= J; J = None sums to infinity (q >= 2).  Euler-Maclaurin
+    with B_2..B_12, f(x) = x^-q: the sum is e(c) - e(J) + f(J) + R, e = F +
+    f/2 - sum_{p<=6} B_2p/(2p)! f^(2p-1), F' = -f; as f^(12) > 0, |R| <= 2
+    zeta(12)/(2 pi)^12 int_c^J f^(12) < 5.3e-10 q(q+1)...(q+10) c^-(q+11).
+    For q = 1, F = -log: decimal rounds J/c, then its log, to 60 digits, and
+    the radius adds (1 + log(J/c)) 1e-59 for both.
+    """
+    m = max(q - 1, 1)  # clears F's 1/(q - 1)
+    a = {q + o: w * math.prod(range(q, q + o)) * m for o, w in _EULER_MACLAURIN}
+    a[q - 1] = _EM_DEN if q > 1 else 0  # e(x) = sum_s a_s x^-s / (_EM_DEN m)
+    def e(x):  # in integers over _EM_DEN m x^(q+11)
+        return Fraction(sum(w * x ** (q + 11 - s) for s, w in a.items()),
+                        _EM_DEN * m * x ** (q + 11))
+    value = e(c) - (0 if J is None else e(J) - Fraction(1, J ** q))
+    radius = Fraction(53 * math.prod(range(q, q + 11)), 10 ** 11 * c ** (q + 11))
+    if q > 1:
+        return value, radius
+    ln = Fraction(Context(prec=60).ln(Context(prec=60).divide(J, c)))
+    return value + ln, radius + (1 + ln) / 10 ** 59
 
 
 def diagonal_coefficient(m) -> Fraction:

@@ -191,7 +191,8 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
     does not depend on k.  c(Omega_X) adds -sum_q H_k^(q) [log c(Omega_X)]_q;
     component i, alive at orders 1..J_i = min(k, ceil(m_i) - 1), adds
     sum_r D_i^r/r (J_i/m_i^r - H_J_i^(r)).  Exact needs k <= EXACT_ORDER_LIMIT;
-    numeric=True rounds only its binary64 harmonic sums and the result.
+    numeric=True takes every H_J^(q) with J >= 64 to within 1e-23 from one
+    rational Euler-Maclaurin tail, and rounds only the result to a float.
     """
     _check_order(k)
     if k is INFINITE_ORDER:

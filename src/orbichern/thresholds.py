@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .harmonic import diagonal_coefficient, harmonic_range
+from .harmonic import _tail, diagonal_coefficient, harmonic_range
 from .orbifold import OrbifoldPair, chi_k
 from .ring import projective_space
 
@@ -262,14 +262,11 @@ def _ratio_bound(m: int, cm: Fraction) -> float:
 
 
 def _zeta2_enclosure(N: int):
-    """Rationals lo < pi^2/6 < hi, hi - lo = 1/(30 N^5).
-
-    With g(x) = 1/x - 1/(2x^2) + 1/(6x^3), g(j) - g(j+1) = 1/(j+1)^2 +
-    1/(6 j^3 (j+1)^3) and 1/(j^3 (j+1)^3) <= (j^-5 - (j+1)^-5)/5, so
-    telescoping gives g(N) - 1/(30 N^5) < sum_{j>N} 1/j^2 < g(N).
-    """
-    hi = harmonic_range(1, N, 2) + Fraction(6 * N * N - 3 * N + 1, 6 * N ** 3)
-    return hi - Fraction(1, 30 * N ** 5), hi
+    """Rationals lo < pi^2/6 < hi: H_{N-1}^(2) plus `_tail`(N, None, 2)'s
+    value, minus and plus its radius."""
+    value, radius = _tail(N, None, 2)
+    mid = harmonic_range(1, N - 1, 2) + value
+    return mid - radius, mid + radius
 
 
 def two_component_m2_predicate(pairing, c2) -> bool:
@@ -289,7 +286,7 @@ def two_component_m2_predicate(pairing, c2) -> bool:
     c2 = Fraction(c2)
     if c2 == 0:
         return lhs >= 0
-    N = 16
+    N = 64
     while True:
         bounds = sorted(8 * c2 * z for z in _zeta2_enclosure(N))
         if lhs >= bounds[1]:

@@ -1,15 +1,17 @@
-import math
 import random
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
 
 from orbichern.errors import DomainError
-from orbichern.harmonic import (diagonal_coefficient, harmonic_prefixes,
-                                harmonic_range)
+from orbichern.harmonic import (_tail, diagonal_coefficient,
+                                harmonic_prefixes, harmonic_range)
 
 F = Fraction
-EULER_GAMMA = 0.57721566490153286061
+# to 50 digits: every use below is held to 1e-23 or to 1e-48
+EULER_GAMMA = F("0.57721566490153286060651209008240243104215933593992")
+PI = F("3.14159265358979323846264338327950288419716939937510")
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
@@ -58,14 +60,19 @@ def test_prefixes_at_block_edges_match_running_sum(n):
             assert table[j] == running and all(type(h) is F for h in table[j])
 
 
-def test_prefixes_numeric_accumulate_the_binary64_ranges():
-    # the chi --float path: each interval in binary64, summed exactly
-    table = harmonic_prefixes([4800, 106, 0], 2, exact=False)
-    assert table[0] == [0, 0]
-    for q in (1, 2):
-        assert table[106][q - 1] == F(harmonic_range(1, 106, q, exact=False))
-        assert table[4800][q - 1] == (F(harmonic_range(1, 106, q, exact=False))
-                                      + F(harmonic_range(107, 4800, q, exact=False)))
+@pytest.mark.parametrize("k", [4800, 10_000])
+def test_prefixes_numeric_match_binary_splitting(k):
+    # the chi --float path: exact below 64, H_63 plus _tail's value above
+    ends = [0, 1, 63, 64, 106, k]
+    table = harmonic_prefixes(ends, 3, exact=False)
+    assert sorted(table) == ends
+    for end in ends:
+        for q in (1, 2, 3):
+            exact = Fraction(*_split(1, end, q)) if end else F(0)
+            if end < 64:
+                assert table[end][q - 1] == exact
+            else:
+                assert abs(table[end][q - 1] - exact) <= F(1, 10 ** 23)
 
 
 def test_prefixes_reject_negative_ends():
@@ -75,21 +82,18 @@ def test_prefixes_reject_negative_ends():
         assert harmonic_prefixes([], 2, exact=exact) == {}
 
 
-@pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("a, b", [(0, 5), (-3, 2), (0, 0), (-1, -4)])
-def test_range_below_one_is_a_domain_error(a, b, exact):
+def test_range_below_one_is_a_domain_error(a, b):
     with pytest.raises(DomainError):
-        harmonic_range(a, b, 2, exact=exact)
+        harmonic_range(a, b, 2)
 
 
-def test_empty_range_is_zero_of_the_requested_kind():
-    exact = harmonic_range(5, 4, 2)
-    assert exact == 0 and isinstance(exact, Fraction)
-    approx = harmonic_range(5, 4, 2, exact=False)
-    assert approx == 0.0 and isinstance(approx, float)
+def test_empty_range_is_fraction_zero():
+    empty = harmonic_range(5, 4, 2)
+    assert empty == 0 and isinstance(empty, Fraction)
 
 
-def float_cases():
+def tail_cases():
     rng = random.Random(1998)
     cases = [(1, b) for b in (1, 2, 63, 64, 65, 100, 1000, 4800, 10_000)]
     cases += [(a, a + d) for a in (2, 63, 64, 65, 107, 5000)
@@ -101,24 +105,36 @@ def float_cases():
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
-def test_float_range_relative_error_below_4e_16(q):
-    # direct terms below 64, Euler-Maclaurin above: relative error <= 4e-16
-    for a, b in float_cases():
-        exact = harmonic_range(a, b, q)
-        approx = harmonic_range(a, b, q, exact=False)
-        assert abs(F(approx) - exact) <= F(4, 10 ** 16) * exact, (a, b)
+def test_tail_encloses_the_exact_range(q):
+    # the radius bounds the error from every start c >= 1, and from c = 64
+    # it is below 1e-23
+    for c, J in tail_cases() + [(64, 64), (64, 65), (64, 4800), (5000, 10_000)]:
+        value, radius = _tail(c, J, q)
+        assert abs(harmonic_range(c, J, q) - value) <= radius, (c, J)
+        assert c < 64 or radius <= F(1, 10 ** 23)
 
 
-def test_float_range_at_a_million_matches_asymptotics():
-    # independent of both code paths: H_n = ln n + gamma + 1/(2n) - 1/(12n^2),
-    # H_n^(2) = pi^2/6 - 1/n + 1/(2n^2) - 1/(6n^3), each to well below 1e-20
+@pytest.mark.parametrize("q, zeta", [(2, PI ** 2 / 6), (4, PI ** 4 / 90)])
+def test_tail_to_infinity_encloses_zeta(q, zeta):
+    # 50-digit pi puts zeta within 1e-48 of these rationals
+    for c in (1, 2, 16, 64, 1000):
+        value, radius = _tail(c, None, q)
+        head = harmonic_range(1, c - 1, q)
+        assert abs(head + value - zeta) <= radius + F(1, 10 ** 48), c
+        assert c < 64 or radius <= F(1, 10 ** 23)
+
+
+def test_prefixes_numeric_at_a_million_match_asymptotics():
+    # independent of the code: H_n = ln n + gamma + 1/(2n) - 1/(12n^2) +
+    # 1/(120n^4) and H_n^(2) = pi^2/6 - 1/n + 1/(2n^2) - 1/(6n^3) + 1/(30n^5),
+    # each to within 1e-38 at n = 10^6, with ln n correctly rounded by decimal
     n = 10 ** 6
-    h1 = harmonic_range(1, n, 1, exact=False)
-    assert math.isclose(h1, math.log(n) + EULER_GAMMA + 1 / (2 * n)
-                        - 1 / (12 * n * n), rel_tol=1e-15)
-    h2 = harmonic_range(1, n, 2, exact=False)
-    assert math.isclose(h2, math.pi ** 2 / 6 - 1 / n + 1 / (2 * n * n)
-                        - 1 / (6 * n ** 3), rel_tol=1e-15)
+    h1, h2 = harmonic_prefixes([n], 2, exact=False)[n]
+    ln_n = F(Context(prec=60).ln(Decimal(n)))
+    assert abs(h1 - (ln_n + EULER_GAMMA + F(1, 2 * n) - F(1, 12 * n ** 2)
+                     + F(1, 120 * n ** 4))) <= F(1, 10 ** 23)
+    assert abs(h2 - (PI ** 2 / 6 - F(1, n) + F(1, 2 * n ** 2) - F(1, 6 * n ** 3)
+                     + F(1, 30 * n ** 5))) <= F(1, 10 ** 23)
 
 
 def test_diagonal_coefficient_matches_double_sum():

@@ -1,10 +1,13 @@
+import io
 import itertools
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
+from orbichern.cli import run
 from orbichern.errors import DomainError
 from orbichern.orbifold import (BoundaryComponent, OrbifoldPair, canonical_k,
                                 chi_k, chi_leading_term,
@@ -509,6 +512,70 @@ def test_chi_numeric_matches_exact_at_large_orders(k):
         exact = chi_k(pair, k)
         approx = chi_k(pair, k, numeric=True)
         assert abs(F(approx) - exact) <= F(1, 10 ** 12) * abs(exact)
+
+
+def rounding_pairs():
+    """15 seeded pairs on P^2, P^3, an abelian surface and two surface
+    presets, each with one to three of an integer, a rational and a
+    logarithmic component."""
+    geoms = [projective_space(2), projective_space(3), abelian_variety(2, selfint=6),
+             surface_with_invariants(c2=24, divisors=["D"], dd=[[6]]),
+             surface_with_invariants(c2=10, divisors=["D"], kk=2, kd=[1], dd=[[3]])]
+    rng = random.Random(18)
+    pairs = []
+    for i in range(15):
+        geom = geoms[i % 5]
+        gen = geom.generator("h" if geom.kind == "projective" else "D")
+        den = rng.randint(2, 7)
+        mults = [rng.choice((rng.randint(2, 70), rng.randint(70, 6000))),
+                 F(rng.randint(den + 1, 9000), den), "inf"]
+        pairs.append(OrbifoldPair(geom, [(gen * rng.randint(1, 7), m) for m in
+                                         rng.sample(mults, rng.randint(1, 3))]))
+    return pairs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 40, 63, 64, 65, 1000, 4800])
+def test_chi_numeric_is_exact_chi_correctly_rounded(k):
+    for pair in rounding_pairs():
+        assert chi_k(pair, k, numeric=True) == float(chi_k(pair, k)), pair.components
+
+
+# gamma and pi to 70 digits, for the oracle below
+GAMMA_70 = Decimal("0.5772156649015328606065120900824024310421593359399235988057672348848677")
+PI_70 = Decimal("3.141592653589793238462643383279502884197169399375105820974944592307816")
+
+
+def test_chi_float_prints_the_digits_of_an_asymptotic_oracle(tmp_path):
+    """A degree-30 plane curve of multiplicity 4: for k >= 4, chi_k =
+    P(H_k, H_k^(2)), P(x, y) = 9/2 x^2 - 195/2 x + 3/2 y, which cancels to
+    about 1e-8 where chi changes sign, near k = 1.4e9.  P is checked against
+    exact chi_k, then evaluated at 70 digits from the asymptotic series of
+    H_k and H_k^(2) (truncation below 1e-50); chi --float must print the
+    oracle's 12 digits."""
+    pair = plane_pair((30, 4))
+
+    def poly(x, y):
+        return 9 * x * x / 2 - 195 * x / 2 + 3 * y / 2
+
+    for k in (4, 5, 63, 64, 300):
+        assert chi_k(pair, k) == poly(harmonic(k), sum(F(1, j * j)
+                                                       for j in range(1, k + 1)))
+    path = tmp_path / "degree30.json"
+    path.write_text('{"geometry": {"preset": "P2"},'
+                    ' "components": [{"degree": 30, "mult": "4"}]}')
+    for k, printed in ((1_406_140_699, "-2.57758313454E-8"),
+                       (1_406_140_700, "4.34007263442E-8")):
+        with localcontext(Context(prec=70)):
+            n = Decimal(k)
+            x = n.ln() + GAMMA_70 + 1 / (2 * n) - 1 / (12 * n ** 2) + 1 / (120 * n ** 4)
+            y = (PI_70 ** 2 / 6 - 1 / n + 1 / (2 * n ** 2) - 1 / (6 * n ** 3)
+                 + 1 / (30 * n ** 5))
+            oracle = poly(x, y)
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["chi", "--pair", str(path), "--k", str(k), "--float"],
+                   out=out, err=err) == 0
+        assert out.getvalue() == str(Context(prec=12).plus(oracle)) + "\n"
+        assert out.getvalue() == printed + "\n"
 
 
 # -- ring-free oracles: curves and products of curves ----------------------------

@@ -53,12 +53,13 @@ GOLDEN = {
         ("a62c534dd207555fb6d6f210c325d029c8bdd0a136c623c1d86a2b2fbad7eb49", 6),
     "chi --pair {abelian} --k 3 --format json":
         ("e027141613fc7bc4fe43a2898f83894606269cafdb2cf6e5626aeb05f2b750a9", 13),
+    # chi_3 is exactly 6, and --float rounds only the value: it prints 6
     "chi --pair {abelian} --k 3 --float --format table":
-        ("6217a816a24ee8c04dc5194afd0a499555affba3b0293205b8e28214fc4461ce", 14),
+        ("06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7", 2),
     "chi --pair {abelian} --k 3 --float --format csv":
-        ("377729deb4ba719d2e3b1333177220f8dbfb83cc8ab31f9180d28a6a06bec691", 18),
+        ("a62c534dd207555fb6d6f210c325d029c8bdd0a136c623c1d86a2b2fbad7eb49", 6),
     "chi --pair {abelian} --k 3 --float --format json":
-        ("8ba453ea84fe1a9e167ec4daa7db547b6eefdbbc2404eb39e89566a97f96b1ca", 25),
+        ("e027141613fc7bc4fe43a2898f83894606269cafdb2cf6e5626aeb05f2b750a9", 13),
     "leading --pair {p2} --k 2 --format table":
         ("0607b84033d609518210cd0cfa14108ed17b7253c48789db308d8b88e1cd7111", 81),
     "leading --pair {p2} --k 2 --format csv":

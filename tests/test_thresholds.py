@@ -432,12 +432,19 @@ def test_zeta2_enclosure():
     def g(x):
         return F(1, x) - F(1, 2 * x * x) + F(1, 6 * x ** 3)
 
-    for j in range(1, 60):  # the telescoping identity behind the bounds
+    # an independent oracle: g(j) - g(j+1) = 1/(j+1)^2 + 1/(6 j^3 (j+1)^3) and
+    # 1/(j^3 (j+1)^3) <= (j^-5 - (j+1)^-5)/5, so telescoping puts pi^2/6 in
+    # H_n^(2) + [g(n) - 1/(30 n^5), g(n)]
+    for j in range(1, 60):
         assert 6 * j ** 3 * (j + 1) ** 3 * (g(j) - g(j + 1) - F(1, (j + 1) ** 2)) == 1
-    for n in (1, 2, 3, 16, 128):
+    for n in (1, 2, 3, 16, 64, 128):
         lo, hi = _zeta2_enclosure(n)
         assert lo < PI * PI / 6 < hi
-        assert hi - lo == F(1, 30 * n ** 5)
+        top = sum(F(1, j * j) for j in range(1, n + 1)) + g(n)
+        assert max(lo, top - F(1, 30 * n ** 5)) < min(hi, top)  # they meet
+        if n >= 16:  # and from 16 on, the tail's box lies inside
+            assert top - F(1, 30 * n ** 5) < lo and hi < top
+    assert hi - lo < F(1, 10 ** 27)
 
 
 @pytest.mark.parametrize("pairing", [[[0, 5], [5, 0]], [[1, 1], [1, 1]],
