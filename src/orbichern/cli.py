@@ -47,23 +47,10 @@ def _fmt(value, as_float=False) -> str:
     if value is False:
         return "no"
     if isinstance(value, Fraction):
-        return format_float(value) if as_float else _exact_str(value)
+        return format_float(value) if as_float else str(value)
     if isinstance(value, float):
         return format_float(value)
     return str(value)
-
-
-def _exact_str(value: Fraction) -> str:
-    """str() past the int-to-str digit limit; runs on the main thread only."""
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        return str(value)
-    finally:
-        set_limit(limit)
 
 
 def _emit(rows, columns, fmt, out):
@@ -371,7 +358,16 @@ def _dispatch(argv, out, err):
             except (OSError, UnicodeDecodeError) as exc:
                 # malformed input (exit 2): any other OSError is a failed write
                 raise PairFormatError(str(exc)) from exc
-        _emit(args.fn(args), args.columns, args.format, out)
+        # exact values print in full: the int-to-str digit limit (Python
+        # 3.11+; the fallbacks are no-ops) is lifted after the pair is read,
+        # so an over-long number in it is still malformed input (exit 2)
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        set_limit = getattr(sys, "set_int_max_str_digits", int)
+        set_limit(0)
+        try:
+            _emit(args.fn(args), args.columns, args.format, out)
+        finally:
+            set_limit(limit)
         return 0
     except PairFormatError as exc:  # includes a pair file that cannot be read
         err.write("error: %s\n" % exc)

@@ -100,10 +100,10 @@ def diagonal_coefficient(m) -> Fraction:
     """
     if m < 2:
         raise DomainError("m must be an integer >= 2")
-    return _diagonal(m, harmonic_prefixes([m], 2)[m])
+    h1, h2 = harmonic_prefixes([m], 2)[m]
+    return _diagonal(m, h1 - 1, h2 - 1)
 
 
-def _diagonal(m, row) -> Fraction:
-    """diagonal_coefficient(m) from row = [H_m, H_m^(2)]."""
-    s1, s2 = row[0] - 1, row[1] - 1  # the sums over 2..m
+def _diagonal(m, s1, s2) -> Fraction:
+    """diagonal_coefficient(m) from s1, s2: sum 1/j, 1/j^2 over 2 <= j <= m."""
     return (s1 * s1 - s2) / 2 - Fraction(m - 1, 2 * m)  # pair sum (s1^2 - s2)/2

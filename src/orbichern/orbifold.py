@@ -297,8 +297,8 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
             factors.append((comp.divisor, hk, (hk * hk - hk2) / 2))
         else:
             mi = int(m.value)
-            factors.append((comp.divisor, prefix[mi][0] - 1,
-                            _diagonal(mi, prefix[mi])))
+            s1, s2 = prefix[mi][0] - 1, prefix[mi][1] - 1  # over 2..mi
+            factors.append((comp.divisor, s1, _diagonal(mi, s1, s2)))
     for i, (div_i, s_i, diag_i) in enumerate(factors):
         total += diag_i * (div_i * div_i).integrate()
         for div_j, s_j, _ in factors[i + 1:]:

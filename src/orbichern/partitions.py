@@ -127,26 +127,6 @@ def _strip_table(caps: int, tables: dict, m: int, size: int, unit0: int):
     return found
 
 
-# A lower table keeps its prefixes while they hold at most this many times
-# its own deltas; past that they grow quadratically in its caps (a single
-# row capped at c has c(c+1)/2 prefix entries), and the stage slices.
-_PREFIX_BOUND = 4
-
-
-def _lower_table(table, m: int):
-    """(deltas, ends, prefixes, top) of a strip table for the lower rows of
-    a stage of m boxes: top = m + 1 - len(ends) is the most boxes the outer
-    rows can take and still leave room for every lower delta, and
-    prefixes[r] is deltas[:ends[r]], the deltas that move at most r boxes,
-    or prefixes is None when those lists would hold more than _PREFIX_BOUND
-    times the table's deltas."""
-    deltas, ends = table
-    prefixes = None
-    if sum(ends) - ends[-1] <= _PREFIX_BOUND * ends[-1]:
-        prefixes = [deltas[:e] for e in ends[:-1]] + [deltas]
-    return deltas, ends, prefixes, m + 1 - len(ends)
-
-
 def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int,
                  tables: dict):
     """One Pieri stage: {key: mult} -> {key: mult} summed over every
@@ -172,8 +152,8 @@ def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int,
     the outer rows 1..grow // 2 made 29,924 inner loops of 1.9 pairs on
     average, rows 1..2 make 11,559 of 5.0.  The outer deltas moving at most
     m + 1 - len(lower ends) boxes pair with the whole lower table in one
-    run; each later count j pairs with the lower deltas of at most m - j
-    boxes, a prefix kept by `_lower_table` or sliced.
+    run; each later count j pairs with the slice of lower deltas that move
+    at most m - j boxes.
     """
     if not m:
         return terms
@@ -200,7 +180,7 @@ def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int,
                 out[k] = get(k, 0) + mult
         return out
     mm, shift = ones * m, m * unit0
-    known, lowers = tables.setdefault(m, ({0: ([0], [1])}, {}))
+    known = tables.setdefault(m, {0: ([0], [1])})
     outer = -1 << size * (fields - 1 - min(2, grow // 2))  # rows 0..2 at most
     for key, mult in terms.items():
         g = (key >> size) - (key & unit0 - 1)  # parts[i-1] - parts[i]
@@ -209,19 +189,15 @@ def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int,
         cu = c & outer
         ups, upper = known.get(cu) or _strip_table(cu, known, m, size, unit0)
         cl = c - cu
-        lower = lowers.get(cl)
-        if lower is None:
-            lower = lowers[cl] = _lower_table(
-                known.get(cl) or _strip_table(cl, known, m, size, unit0), m)
-        lows, ends, prefixes, top = lower
+        lows, ends = known.get(cl) or _strip_table(cl, known, m, size, unit0)
+        top = m + 1 - len(ends)  # outer boxes that leave room for all lows
         j, start = top, 0
         key += shift
         # the outer deltas of at most top boxes run first, in one run (to
         # the end of ups when no outer count passes top), then one run per
         # count, each with the lower deltas that still fit
         for end in upper[top:] or upper[-1:]:
-            fit = (lows if j <= top else prefixes[m - j] if prefixes
-                   else lows[:ends[m - j]])
+            fit = lows if j <= top else lows[:ends[m - j]]
             for du in ups[start:end]:
                 base = key + du
                 for dl in fit:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .harmonic import _tail, diagonal_coefficient, harmonic_range
+from .harmonic import _diagonal, _tail, diagonal_coefficient, harmonic_range
 from .orbifold import OrbifoldPair, chi_k
 from .ring import projective_space
 
@@ -245,7 +245,7 @@ def _k3_coefficients(m_max: int):
     for m in range(2, m_max + 1):
         s1 += Fraction(1, m)
         s2 += Fraction(1, m * m)
-        yield m, (s1 * s1 - s2) / 2 - Fraction(m - 1, 2 * m)
+        yield m, _diagonal(m, s1, s2)
 
 
 def k3_ratio_bound(m: int) -> float:

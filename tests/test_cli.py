@@ -6,12 +6,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from conftest import pieri_degree_lists
 
 from orbichern.cli import run
-from orbichern.orbifold import OrbifoldPair, chi_k
+from orbichern.orbifold import OrbifoldPair, chi_k, cotangent_segre
 from orbichern.pairfile import load_pair
 from orbichern.partitions import decompose_sym_tensor, graded_summands
 from orbichern.ring import projective_space
@@ -346,25 +347,39 @@ def test_failing_err_exits_1(argv):
     assert run(argv, out=io.StringIO(), err=err) == 1
 
 
-def test_exact_chi_prints_past_int_digit_limit(p2_file):
-    # from k = 4967 on, the exact value has more digits than Python's default
-    # int-to-str limit; the CLI lifts it for formatting only, then restores it
+def test_exact_chi_prints_past_int_digit_limit(p2_file, tmp_path):
+    # from k = 4967 on, the exact chi has more digits than Python's default
+    # int-to-str limit, and so has the h^2 coefficient of segre with a
+    # multiplicity of two 2,500-digit integers; the CLI lifts the limit
+    # while a command runs, then restores it
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     before = get_limit() if get_limit else None
-    code, out, err = invoke(["chi", "--pair", p2_file, "--k", "10000"])
-    assert code == 0, err
+    mult = Fraction(5 * 10 ** 2499 + 1, 10 ** 2499 + 7)
+    big = tmp_path / "p2_c5_big_mult.json"
+    big.write_text(json.dumps({"geometry": {"preset": "P2"}, "components": [
+        {"degree": 5, "mult": "%d/%d" % (mult.numerator, mult.denominator)}]}))
+    runs = [invoke(["chi", "--pair", p2_file, "--k", "10000"]),
+            invoke(["segre", "--pair", str(big), "--k", "3"])]
+    assert get_limit is None or get_limit() == before
     geom = projective_space(2)
-    expected = chi_k(OrbifoldPair(geom, [(geom.generator("h") * 12, 107)]),
-                     10_000)
-    if get_limit is None:
-        assert out.strip() == str(expected)
-        return
-    assert get_limit() == before
-    sys.set_int_max_str_digits(0)
+    h = geom.generator("h")
+    expected = [chi_k(OrbifoldPair(geom, [(h * 12, 107)]), 10_000),
+                cotangent_segre(OrbifoldPair(geom, [(h * 5, mult)]), 3)]
+    if get_limit:
+        sys.set_int_max_str_digits(0)
     try:
-        assert len(out.strip()) > 4300 and out.strip() == str(expected)
+        for (code, out, err), value in zip(runs, expected):
+            assert (code, err) == (0, "")
+            assert len(out.strip()) > 4300 and out.strip() == str(value)
     finally:
-        sys.set_int_max_str_digits(before)
+        if get_limit:
+            sys.set_int_max_str_digits(before)
+    if get_limit:  # the pair is read under the limit: a longer mult is malformed
+        big.write_text(json.dumps({"geometry": {"preset": "P2"}, "components": [
+            {"degree": 5, "mult": "9" * 4400}]}))
+        code, out, err = invoke(["segre", "--pair", str(big), "--k", "3"])
+        assert code == 2 and out == "" and "components[0].mult" in err
+        assert get_limit() == before
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,12 +7,11 @@ from conftest import pieri_degree_lists
 
 from orbichern.errors import DomainError
 from orbichern.orbifold import OrbifoldPair
-from orbichern.partitions import (_PREFIX_BOUND, Partition, SchurExpansion,
-                                  _strip_table, _sym_tensor_keys,
-                                  _sym_tensor_terms, _unpack,
-                                  decompose_sym_tensor, graded_summands,
-                                  pieri_multiply, schur_dimension,
-                                  weighted_vectors)
+from orbichern.partitions import (Partition, SchurExpansion, _strip_table,
+                                  _sym_tensor_keys, _sym_tensor_terms,
+                                  _unpack, decompose_sym_tensor,
+                                  graded_summands, pieri_multiply,
+                                  schur_dimension, weighted_vectors)
 from orbichern.ring import projective_space
 
 F = Fraction
@@ -415,9 +414,8 @@ def test_strip_tables_are_as_long_as_their_rows_can_fill():
 
 
 def test_strip_tables_hold_a_bounded_multiple_of_their_deltas(monkeypatch):
-    # what the caches hold besides the deltas (the ends lists and the kept
-    # prefixes) stays within a small multiple of them, even with a table
-    # of 3,001 deltas at m = 3000
+    # what the caches hold besides the deltas (the ends lists) stays within
+    # a small multiple of them, even with a table of 3,001 deltas at m = 3000
     import orbichern.partitions as partitions
     caches = []
     real = partitions._strip_stage
@@ -431,16 +429,11 @@ def test_strip_tables_hold_a_bounded_multiple_of_their_deltas(monkeypatch):
     assert caches[0] is caches[1] and caches[2] is not caches[0]
     assert (list(caches[0]), list(caches[2])) == ([3000], [5])
     deltas = held = 0
-    for known, lowers in [caches[0][3000], caches[2][5]]:
+    for known in [caches[0][3000], caches[2][5]]:
         for table_deltas, ends in known.values():
             deltas += len(table_deltas)
             held += len(table_deltas) + len(ends)
-        for caps, (table_deltas, ends, prefixes, _) in lowers.items():
-            assert table_deltas is known[caps][0]  # the table, not a copy
-            kept = sum(map(len, prefixes[:-1])) if prefixes else 0
-            assert kept <= _PREFIX_BOUND * len(table_deltas)
-            held += kept
-    assert max(len(t[0]) for t in caches[0][3000][0].values()) == 3001
+    assert max(len(t[0]) for t in caches[0][3000].values()) == 3001
     assert held <= 3 * deltas
 
 
@@ -511,7 +504,8 @@ def test_pieri_multiply_matches_tuple_stage_on_long_terms():
 
 @pytest.mark.parametrize("degrees", [
     [], [0], [0, 0], [3, 0, 2], [0, 4, 0, 0, 1, 2], [300, 200, 7],
-    [255, 1], [128, 127, 1], [1] * 16, [1] * 17, [2, 1] * 8, [9, 1, 1, 7]])
+    [255, 1], [128, 127, 1], [1] * 16, [1] * 17, [2, 1] * 8, [9, 1, 1, 7],
+    [16, 14, 12, 2, 2]])
 def test_packed_stages_match_tuple_stages(degrees):
     expected = oracle_terms(sorted(degrees, reverse=True))
     assert _sym_tensor_terms(degrees) == expected
