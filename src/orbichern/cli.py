@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import gc
 import io
-import json
 import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout, suppress
@@ -28,7 +27,7 @@ from fractions import Fraction
 from . import orbifold, thresholds
 from .errors import DomainError, OrbichernError, PairFormatError
 from .gysin import gysin_coefficient, jump_data
-from .partitions import _decode, _sym_tensor_keys
+from .partitions import _decode, _sym_tensor_keys, _weighted_rows
 from .pairfile import load_pair
 from .ring import INFINITE_ORDER, _INFINITY_WORDS
 
@@ -63,6 +62,7 @@ def _emit(rows, columns, fmt, out):
             out.write(",".join(row) + "\n")
         return
     if fmt == "json":
+        import json  # loaded only by the commands that write it
         for row in rows:  # one object per line, scans included
             out.write(json.dumps(dict(zip(columns, row))) + "\n")
         return
@@ -207,37 +207,21 @@ def _cmd_summands(args):
     orders = [None] + ["order %d: %s" % (j, " ".join(
         str(t.coefficient) for t in orbifold.delta_k(args.pair, j)))
         for j in range(1, min(k, n_weight) + 1)]
-    memo = {}
 
-    def suffixes(j, remaining):
-        # the (l text, summand text, coefficients text) of every nonzero
-        # (l_j, ..., l_k) of weight remaining, in weighted_vectors' order
-        key = (j, remaining)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        found = []
-        head = "%d " if j < k else "%d"
-        order = orders[j]
-        order_x = order + "; "
-        for lj in range(remaining // j, -1, -1):
-            rest = remaining - j * lj
-            if not rest:
-                found.append((head % lj + zeros[2 * j:],
-                              "S^%d Omega(%d)" % (lj, j), order))
-            elif j < k and j < rest:
-                text = head % lj
-                if lj:
-                    name_x = "S^%d Omega(%d) (x) " % (lj, j)
-                    found += [(text + ls, name_x + ss, order_x + cs)
-                              for ls, ss, cs in suffixes(j + 1, rest)]
-                else:
-                    found += [(text + ls, ss, cs)
-                              for ls, ss, cs in suffixes(j + 1, rest)]
-        memo[key] = found
-        return found
+    def last(j, lj):  # the (l text, summand text, coefficients text)
+        return ("%d" % lj + zeros[2 * j - 1:], "S^%d Omega(%d)" % (lj, j),
+                orders[j])
 
-    return suffixes(1, n_weight) if n_weight else [(zeros, "trivial", "-")]
+    def extend(j, lj, rows):
+        text = "%d " % lj
+        if not lj:
+            return [(text + ls, ss, cs) for ls, ss, cs in rows]
+        name_x, order_x = "S^%d Omega(%d) (x) " % (lj, j), orders[j] + "; "
+        return [(text + ls, name_x + ss, order_x + cs) for ls, ss, cs in rows]
+
+    if not n_weight:
+        return [(zeros, "trivial", "-")]
+    return _weighted_rows(k, n_weight, last, extend)
 
 
 def _finite(k):

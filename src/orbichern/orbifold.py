@@ -222,8 +222,8 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
 
 def _series(u: GradedClass, coefficients) -> GradedClass:
     """sum_r coefficients[r - 1] u^r, e.g. log(1 + u) or exp(u) - 1."""
-    out, power = u.geometry.zero(), u.geometry.one()
-    for c in coefficients:
+    power, out = u, u * coefficients[0]
+    for c in coefficients[1:]:
         power = power * u
         out = out + power * c
     return out

@@ -27,7 +27,6 @@ elsewhere by a generator name or a {name: coefficient} combination.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .errors import OrbichernError, PairFormatError
@@ -155,6 +154,7 @@ def _component_class(geom, entry, where):
 def parse_pair(text) -> OrbifoldPair:
     """Parse a pair description from JSON text (or an already-decoded dict)."""
     if isinstance(text, (str, bytes)):
+        import json  # loaded only when there is text to read
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -236,5 +236,6 @@ def serialize_pair(pair: OrbifoldPair) -> str:
         cls = {geom.names[exps.index(1)]: str(c)
                for exps, c in comp.divisor.coeffs.items()}
         components.append({"class": cls, "mult": mult})
+    import json
     return json.dumps({"geometry": data, "components": components},
                       sort_keys=True)

@@ -18,6 +18,9 @@ deltas per set of rows that can take the box.  One decoder, `_decode`,
 renders each distinct upper and lower half of the final keys once: as
 tuples for `SchurExpansion`, and as text for the `pieri` command, which
 builds its rows from the two texts.
+One memoized recursion, `_weighted_rows`, enumerates the weight vectors l
+with sum j*l_j = N, building rows from the right: it gives the tuples of
+`weighted_vectors` and the text rows of the `summands` command.
 The classical Weyl product formula supplies dimensions as an independent
 cross-check on the decompositions.
 
@@ -389,27 +392,34 @@ def weighted_vectors(k: int, n_weight: int) -> list[tuple]:
         raise DomainError("k must be an int >= 1, got %r" % (k,))
     if not _is_int(n_weight) or n_weight < 0:
         raise DomainError("weight must be an int >= 0, got %r" % (n_weight,))
+    return _weighted_rows(k, n_weight, lambda j, lj: (lj,) + (0,) * (k - j),
+                          lambda j, lj, tails: [(lj,) + t for t in tails])
+
+
+def _weighted_rows(k, n_weight, last, extend):
+    """One row for each l in Z_{>=0}^k with sum j*l_j = n_weight, largest
+    first, built from the right: last(j, l_j) is the row of (l_j, ..., l_k)
+    with l_{j+1} = ... = l_k = 0, and extend(j, l_j, rows) prefixes l_j to
+    the rows of (l_{j+1}, ..., l_k).  Each (j, weight left) is walked once,
+    so extend runs once per (j, l_j) on a shared list of rows."""
     memo = {}
 
-    def suffixes(j, remaining):
-        # all (l_j, ..., l_k) with sum of i*l_i = remaining, leading entry
-        # descending, so the assembled vectors come out largest-first; the
-        # zero tail ends the recursion, so it is at most min(k, n_weight)
-        # levels deep
-        if remaining == 0:
-            return [(0,) * (k - j + 1)]
-        if j > remaining or j > k:
-            return []
-        key = (j, remaining)
-        found = memo.get(key)
+    def rows(j, remaining):
+        # l_j descending, so the rows come out largest-first; a row ends when
+        # no weight is left, so this is at most min(k, n_weight) levels deep
+        found = memo.get((j, remaining))
         if found is None:
-            found = [(lj,) + tail
-                     for lj in range(remaining // j, -1, -1)
-                     for tail in suffixes(j + 1, remaining - j * lj)]
-            memo[key] = found
+            found = []
+            for lj in range(remaining // j, -1, -1):
+                rest = remaining - j * lj
+                if not rest:
+                    found.append(last(j, lj))
+                elif j < k and j < rest:
+                    found += extend(j, lj, rows(j + 1, rest))
+            memo[j, remaining] = found
         return found
 
-    return suffixes(1, n_weight)
+    return rows(1, n_weight)
 
 
 def graded_summands(pair: OrbifoldPair, k: int, n_weight: int):
