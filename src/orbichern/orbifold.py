@@ -8,13 +8,15 @@ product
 
     c(Omega^(k)) = c(Omega_X) * prod_{m_i > k} (1 - (k/m_i) D_i) / (1 - D_i),
 
-with the division meaning the truncated geometric-series inverse.  Segre
-classes are the inverses of these, and chi_k is (-1)^n times the integral of
-prod_{j=1..k} s(Omega^(j))(t/j), the j-th factor's degree-q part weighted by
-j^-q: the truncated exp of the summed logs, as positive degrees are
-nilpotent.  Under t -> t/j, (1 - (j/m_i) D_i) becomes (1 - D_i/m_i), and
-between breakpoints ceil(m_i) the surviving components are fixed, so on
-such an interval [a, b], with [.]_q the degree-q part,
+each factor taken as 1 + delta_i (D_i + D_i^2 + ... + D_i^n) with delta_i =
+(1 - k/m_i)^+ its boundary coefficient, so the degree-1 part is the order-k
+canonical class K_X + Delta^(k).  Segre classes are the inverses of these,
+and chi_k is (-1)^n times the integral of prod_{j=1..k} s(Omega^(j))(t/j),
+the j-th factor's degree-q part weighted by j^-q: the truncated exp of the
+summed logs, as positive degrees are nilpotent.  Under t -> t/j,
+(1 - (j/m_i) D_i) becomes (1 - D_i/m_i), and between breakpoints ceil(m_i)
+the surviving components are fixed, so on such an interval [a, b], with [.]_q
+the degree-q part,
 
     sum_{j=a..b} log s^(j)(t/j) = (b - a + 1) L0 + sum_q H^(q)(a..b) [Lv]_q,
 
@@ -34,7 +36,8 @@ from typing import NamedTuple, Optional
 
 from .errors import DomainError, GeometryMismatch
 from .harmonic import _diagonal, harmonic_prefixes
-from .ring import INFINITE_ORDER, Geometry, GradedClass, Multiplicity, _immutable
+from .ring import (INFINITE_ORDER, Geometry, GradedClass, Multiplicity,
+                   _immutable, _series)
 
 #: Largest order for which chi is evaluated in exact arithmetic; the
 #: harmonic-type rationals involved grow super-polynomially beyond this.
@@ -131,16 +134,16 @@ def delta_k(pair: OrbifoldPair, k) -> list[DeltaTerm]:
     return out
 
 
-def cotangent_chern(pair: OrbifoldPair, k: int) -> GradedClass:
-    """Total Chern class of the order-k orbifold cotangent bundle."""
-    _check_order(k)
-    c = pair.geometry.tangent_chern.dual()
-    one = pair.geometry.one()
-    for comp in pair.components:
-        if not comp.multiplicity.exceeds(k):
-            continue  # (1 - k/m)^+ = 0: the component drops out entirely
-        ratio = comp.multiplicity.ratio(k)
-        c = c * (one - comp.divisor * ratio) * (one - comp.divisor).inverse()
+def cotangent_chern(pair: OrbifoldPair, k) -> GradedClass:
+    """Total Chern class of the order-k orbifold cotangent bundle.
+
+    Each surviving `delta_k` term (D_i, delta_i) multiplies c(Omega_X) by
+    (1 - (k/m_i) D_i)/(1 - D_i) = 1 + delta_i (D_i + ... + D_i^n).
+    """
+    c, n = pair.geometry.tangent_chern.dual(), pair.geometry.dim
+    for term in delta_k(pair, k):
+        if term.surviving:
+            c = c * (1 + _series(term.divisor, [term.coefficient] * n))
     return c
 
 
@@ -150,12 +153,9 @@ def cotangent_segre(pair: OrbifoldPair, k: int) -> GradedClass:
 
 
 def canonical_class(pair: OrbifoldPair, k) -> GradedClass:
-    """c1(K_X) + sum of (1 - k/m_i)^+ D_i."""
-    _check_order(k)
-    out = -pair.geometry.tangent_chern.component(1)
-    for term in delta_k(pair, k):
-        out = out + term.divisor * term.coefficient
-    return out
+    """K_X + Delta^(k) = c1(K_X) + sum of (1 - k/m_i)^+ D_i, read off as
+    c1 of the order-k cotangent bundle."""
+    return cotangent_chern(pair, k).component(1)
 
 
 def canonical_positivity(pair: OrbifoldPair, cls: GradedClass) -> Optional[bool]:
@@ -218,15 +218,6 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
     value = _series(total, [Fraction(1, math.factorial(r))  # exp(total) - 1
                             for r in range(1, n + 1)]).integrate() * (-1) ** n
     return float(value) if numeric else value
-
-
-def _series(u: GradedClass, coefficients) -> GradedClass:
-    """sum_r coefficients[r - 1] u^r, e.g. log(1 + u) or exp(u) - 1."""
-    power, out = u, u * coefficients[0]
-    for c in coefficients[1:]:
-        power = power * u
-        out = out + power * c
-    return out
 
 
 def leading_scale(n: int, k: int) -> Fraction:

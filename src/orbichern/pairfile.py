@@ -157,7 +157,9 @@ def parse_pair(text) -> OrbifoldPair:
         import json  # loaded only when there is text to read
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer literal past Python's int-to-str
+            # digit limit, or nesting past the recursion limit
             raise PairFormatError("malformed JSON: %s" % exc)
     else:
         data = text

@@ -80,14 +80,6 @@ class Multiplicity:
             raise DomainError("inf/m is undefined for finite m")
         return Fraction(k) / self.value
 
-    def exceeds(self, k) -> bool:
-        """Whether m > k (always true for infinite m)."""
-        if self.value is None:
-            return True
-        if k is INFINITE_ORDER:
-            return False
-        return self.value > k
-
     def __eq__(self, other):
         return isinstance(other, Multiplicity) and self.value == other.value
 
@@ -293,20 +285,13 @@ class GradedClass:
         """Multiplicative inverse modulo truncation, by geometric series.
 
         Requires a nonzero constant term; with a = a0(1 - u) the inverse is
-        (1 + u + ... + u^n)/a0.
+        (1 + u + ... + u^n)/a0, the sum taken by `_series`.
         """
         a0 = self.constant_term
         if not a0:
             raise NonUnitError("cannot invert a class with zero constant term")
         inv_a0 = Fraction(1) / a0
-        u = self.geometry.one() - self * inv_a0
-        out = self.geometry.one() + u
-        power = u
-        for _ in range(self.geometry.dim - 1):
-            power = power * u
-            if power.is_zero():
-                break
-            out = out + power
+        out = 1 + _series(1 - self * inv_a0, [1] * self.geometry.dim)
         return out if a0 == 1 else out * inv_a0
 
     def component(self, q) -> "GradedClass":
@@ -377,6 +362,16 @@ class GradedClass:
 
     def __repr__(self):
         return "GradedClass(%s)" % self
+
+
+def _series(u: GradedClass, coefficients) -> GradedClass:
+    """sum_r coefficients[r - 1] u^r, e.g. log(1 + u) or exp(u) - 1: the
+    package's one truncated power series."""
+    power, out = u, u * coefficients[0]
+    for c in coefficients[1:]:
+        power = power * u
+        out = out + power * c
+    return out
 
 
 # -- geometry presets --------------------------------------------------------

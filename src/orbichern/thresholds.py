@@ -232,9 +232,8 @@ def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
     return _record(_chi1_lines, _CHI1, (8,), "chi_1 at c=%d, d=%d", c, d)
 
 
-def k3_coefficient(m: int) -> Fraction:
-    """Self-intersection weight sum_{2<=j1<j2<=m} 1/(j1 j2) - (m-1)/(2m)."""
-    return diagonal_coefficient(m)
+#: Self-intersection weight sum_{2<=j1<j2<=m} 1/(j1 j2) - (m-1)/(2m).
+k3_coefficient = diagonal_coefficient
 
 
 def _k3_coefficients(m_max: int):

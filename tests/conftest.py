@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -70,3 +71,17 @@ def pieri_degree_lists():
     lists += [[130, 130, 1, 1, 1], [300, 2, 2, 2, 2, 2, 2, 2],
               [260, 3, 3, 2, 2, 2, 1, 1, 1], [1] * 17]
     return lists
+
+
+# Pair texts that json.loads rejects with something other than a
+# JSONDecodeError: an integer literal past Python's int-to-str digit limit
+# (where the interpreter has one) and nesting past the recursion limit.
+MALFORMED_JSON = [
+    pytest.param('{"geometry": {"preset": "P2"}, "components": '
+                 '[{"degree": %s, "mult": "3"}]}' % ("7" * 5000),
+                 id="5000-digit-int",
+                 marks=pytest.mark.skipif(
+                     not hasattr(sys, "get_int_max_str_digits"),
+                     reason="no int-to-str digit limit")),
+    pytest.param("[" * 100_000 + "]" * 100_000, id="100000-deep"),
+]

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from conftest import pieri_degree_lists
+from conftest import MALFORMED_JSON, pieri_degree_lists
 
 from orbichern.cli import run
 from orbichern.orbifold import OrbifoldPair, chi_k, cotangent_segre
@@ -237,6 +237,15 @@ def test_exit_code_malformed_pair(tmp_path):
     code, _, err = invoke(["chi", "--pair", str(bad), "--k", "1"])
     assert code == 2
     assert "mult" in err
+
+
+@pytest.mark.parametrize("text", MALFORMED_JSON)
+def test_exit_code_malformed_json(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = invoke(["chi", "--pair", str(bad), "--k", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed JSON: ")
 
 
 def test_exit_code_missing_file():

@@ -13,7 +13,8 @@ from orbichern.orbifold import (BoundaryComponent, OrbifoldPair, canonical_k,
                                 chi_k, chi_leading_term,
                                 chi_trivial_canonical_closed_form,
                                 cotangent_chern, cotangent_segre, delta_k,
-                                leading_scale, log_asymptotic_coefficient)
+                                leading_scale, log_asymptotic_coefficient,
+                                order_coefficient)
 from orbichern.ring import (INFINITE_ORDER, Geometry, Multiplicity,
                             abelian_variety, projective_space,
                             surface_with_invariants)
@@ -78,17 +79,6 @@ def test_cotangent_chern_abelian_log():
     assert c == 1 + d + d * d
     # cross-check: its inverse is the stated log Segre class 1 - D
     assert c.inverse() == 1 - d
-
-
-def test_cotangent_chern_plane_orbifold():
-    # oracle: assemble the same Whitney product by hand from ring primitives
-    d, a = 12, 107
-    geom = projective_space(2)
-    h = geom.generator("h")
-    pair = OrbifoldPair(geom, [(h * d, a)])
-    expected = ((1 - 3 * h + 3 * h * h)
-                * (1 - h * F(d, a)) * (1 - h * d).inverse())
-    assert cotangent_chern(pair, 1) == expected
 
 
 def test_cotangent_segre_abelian_log_components():
@@ -478,6 +468,32 @@ def matrix_orders(pair):
             top = math.ceil(comp.multiplicity.value)
             ks.update(k for k in (top - 1, top, top + 1) if k >= 1)
     return sorted(ks)
+
+
+def literal_cotangent_chern(pair, k):
+    """c(Omega_X) prod_{m_i > k} (1 - (k/m_i) D_i) (1 - D_i).inverse(): the
+    Whitney product assembled by hand from ring primitives."""
+    c = pair.geometry.tangent_chern.dual()
+    for divisor, m in pair.components:
+        if m.is_infinite or (k is not INFINITE_ORDER and m.value > k):
+            c = c * (1 - divisor * m.ratio(k)) * (1 - divisor).inverse()
+    return c
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_GEOMETRIES))
+def test_cotangent_chern_plane_orbifold(name):
+    # oracles: the literal Whitney product, and K_X + Delta^(k) summed
+    # component by component
+    rng = random.Random("chi-matrix/" + name)
+    for pair in random_pairs(MATRIX_GEOMETRIES[name], rng, 6):
+        geom = pair.geometry
+        for k in (1, 2, 3, INFINITE_ORDER):
+            assert cotangent_chern(pair, k) == literal_cotangent_chern(pair, k), (
+                pair.components, k)
+            canonical = sum((d * order_coefficient(m, k)
+                             for d, m in pair.components),
+                            -geom.tangent_chern.component(1))
+            assert canonical_k(pair, k)[0] == canonical, (pair.components, k)
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX_GEOMETRIES))

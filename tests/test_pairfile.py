@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import MALFORMED_JSON
 
 from orbichern.cli import run
 from orbichern.errors import PairFormatError
@@ -61,9 +62,11 @@ def test_parse_rejects_unknown_preset():
         parse_pair('{"geometry": {"preset": "weighted"}, "components": []}')
 
 
-def test_parse_rejects_malformed_json():
-    with pytest.raises(PairFormatError):
-        parse_pair('{"geometry": ')
+@pytest.mark.parametrize("text", [pytest.param('{"geometry": ', id="truncated")]
+                         + MALFORMED_JSON)
+def test_parse_rejects_malformed_json(text):
+    with pytest.raises(PairFormatError, match="^malformed JSON: "):
+        parse_pair(text)
 
 
 def test_parse_rejects_unknown_generator():
