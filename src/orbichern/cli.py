@@ -35,7 +35,14 @@ _FLOAT_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def format_float(x) -> str:
-    return str(_FLOAT_CONTEXT.plus(Decimal(float(x))))
+    """x to 12 significant digits: rounded from float(x) where that is a
+    normal binary64 number, else from the exact rational in one step."""
+    with suppress(OverflowError):
+        f = float(x)
+        if abs(f) >= sys.float_info.min:
+            return str(_FLOAT_CONTEXT.plus(Decimal(f)))
+    x = Fraction(x)
+    return str(_FLOAT_CONTEXT.divide(x.numerator, x.denominator))
 
 
 def _fmt(value, as_float=False) -> str:

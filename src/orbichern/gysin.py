@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .partitions import Partition
+from .ring import _is_int
 
 #: Part of the CLI contract (`gysin --n 7` exits 3), and the bound up to which
 #: the tests check the closed form against the full expansion exhaustively.
@@ -47,7 +48,7 @@ def jump_data(n: int, lam) -> JumpData:
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise DomainError("dimension must be >= 1")
     if len(lam) > n:
         raise DomainError("partition has more than n parts")

@@ -13,6 +13,7 @@ from decimal import Context
 from fractions import Fraction
 
 from .errors import DomainError
+from .ring import _is_int
 
 _BLOCK = 64
 
@@ -98,7 +99,7 @@ def diagonal_coefficient(m) -> Fraction:
     multiplicity m in the trivial-canonical closed form; it vanishes at
     m = 4 and first becomes positive at m = 5.
     """
-    if m < 2:
+    if not _is_int(m) or m < 2:
         raise DomainError("m must be an integer >= 2")
     h1, h2 = harmonic_prefixes([m], 2)[m]
     return _diagonal(m, h1 - 1, h2 - 1)

@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional
 from .errors import DomainError, GeometryMismatch
 from .harmonic import _diagonal, harmonic_prefixes
 from .ring import (INFINITE_ORDER, Geometry, GradedClass, Multiplicity,
-                   _immutable, _series)
+                   _immutable, _is_int, _series)
 
 #: Largest order for which chi is evaluated in exact arithmetic; the
 #: harmonic-type rationals involved grow super-polynomially beyond this.
@@ -111,7 +111,7 @@ class OrbifoldPair:
 def _check_order(k):
     if k is INFINITE_ORDER:
         return
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    if not _is_int(k) or k < 1:
         raise DomainError("order k must be a positive integer or infinite")
 
 
@@ -217,11 +217,18 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
         total = total + _series(comp.divisor, weights)
     value = _series(total, [Fraction(1, math.factorial(r))  # exp(total) - 1
                             for r in range(1, n + 1)]).integrate() * (-1) ** n
-    return float(value) if numeric else value
+    if not numeric:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("chi_k is beyond binary64's range") from None
 
 
 def leading_scale(n: int, k: int) -> Fraction:
     """1/((k!)^n ((k+1)n - 1)!)."""
+    if not (_is_int(n) and _is_int(k)) or n < 1 or k < 1:
+        raise DomainError("dimension n and order k must be positive integers")
     return Fraction(1, math.factorial(k) ** n * math.factorial((k + 1) * n - 1))
 
 
@@ -259,7 +266,7 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
     geom = pair.geometry
     if geom.dim != 2:
         raise DomainError("closed form is for surfaces")
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise DomainError("order k must be a positive integer")
     kappa = -geom.tangent_chern.component(1)
     for name in geom.names:

@@ -27,36 +27,28 @@ elsewhere by a generator name or a {name: coefficient} combination.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import OrbichernError, PairFormatError
 from .orbifold import OrbifoldPair
-from .ring import (Geometry, Multiplicity, abelian_variety, projective_space,
-                   surface_with_invariants)
+from .ring import (Geometry, Multiplicity, _as_fraction, _is_int,
+                   abelian_variety, projective_space, surface_with_invariants)
 
 
 def _rational(value, where):
     try:
-        if isinstance(value, bool):
-            raise TypeError("booleans are not numbers")
-        if isinstance(value, float):
-            raise ValueError("floats are not exact")
-        return Fraction(value)
+        return _as_fraction(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise PairFormatError("%s: bad rational %r (%s)" % (where, value, exc))
 
 
 def _multiplicity(value, where):
     try:
-        if isinstance(value, (bool, float)):
-            raise TypeError("expected a string or an integer")
         return Multiplicity.parse(value)
     except Exception as exc:
         raise PairFormatError("%s: bad multiplicity %r (%s)" % (where, value, exc))
 
 
 def _positive_int(value, where):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not _is_int(value) or value < 1:
         raise PairFormatError("%s: need a positive integer" % where)
     return value
 

@@ -38,11 +38,7 @@ from types import MappingProxyType
 
 from .errors import DomainError
 from .orbifold import OrbifoldPair, delta_k
-from .ring import _immutable
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+from .ring import _immutable, _is_int
 
 
 class Partition:

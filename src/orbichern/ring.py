@@ -21,9 +21,16 @@ from .errors import DomainError, GeometryMismatch, NonUnitError
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("exact ring does not accept floats, got %r" % x)
+    """x as an exact rational; a float or a bool is no exact number."""
+    if isinstance(x, (bool, float)):
+        raise TypeError("exact ring does not accept %ss, got %r"
+                        % (type(x).__name__, x))
     return Fraction(x)
+
+
+def _is_int(value) -> bool:
+    """Whether value is an integer argument: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _immutable(self, *args):
@@ -62,7 +69,7 @@ class Multiplicity:
             text = text.strip()
             if text in _INFINITY_WORDS:
                 return cls(None)
-        return cls(Fraction(text))
+        return cls(_as_fraction(text))
 
     @property
     def is_infinite(self) -> bool:
@@ -110,8 +117,9 @@ class Geometry:
         Map from degree-n exponent tuples to exact rationals.  Monomials
         absent from the table integrate to 0.
     kind:
-        Preset tag ("projective", "abelian", "surface" or "custom"), used
-        only by positivity decisions downstream.
+        Preset tag: "projective", "abelian", "surface" or "custom".  It
+        selects the positivity verdicts and how pair files name components
+        and serialize the geometry.
     tangent_chern:
         c(T) as a map from exponent tuples of degree <= n to exact
         rationals, with constant term 1; None means c(T) = 1.
@@ -126,8 +134,10 @@ class Geometry:
 
     def __init__(self, dim, generators, integrals, kind="custom",
                  tangent_chern=None):
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim) or dim < 1:
             raise DomainError("dimension must be an integer >= 1")
+        if kind not in ("projective", "abelian", "surface", "custom"):
+            raise DomainError("unknown geometry kind %r" % (kind,))
         generators = tuple((name, deg) for name, deg in generators)
         names = tuple(name for name, _ in generators)
         if len(set(names)) != len(names):
@@ -274,8 +284,8 @@ class GradedClass:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise DomainError("negative powers are not defined")
+        if not _is_int(k) or k < 0:
+            raise DomainError("only integer powers >= 0 are defined")
         out = self.geometry.one()
         for _ in range(k):
             out = out * self
@@ -296,8 +306,8 @@ class GradedClass:
 
     def component(self, q) -> "GradedClass":
         """The part of exact total degree q (zero class when q > n)."""
-        if q < 0:
-            raise DomainError("component degree must be >= 0")
+        if not _is_int(q) or q < 0:
+            raise DomainError("component degree must be an integer >= 0")
         geom = self.geometry
         return GradedClass(geom, {e: c for e, c in self.coeffs.items()
                                   if geom.degree[e] == q})
@@ -310,7 +320,7 @@ class GradedClass:
 
     def scale_degrees(self, t) -> "GradedClass":
         """Multiply each degree-q component by t**q."""
-        geom = self.geometry
+        geom, t = self.geometry, _as_fraction(t)
         return GradedClass(geom, {e: c * t ** geom.degree[e]
                                   for e, c in self.coeffs.items()})
 

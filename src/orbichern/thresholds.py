@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 from .errors import DomainError
 from .harmonic import _diagonal, _tail, diagonal_coefficient, harmonic_range
 from .orbifold import OrbifoldPair, chi_k
-from .ring import projective_space
+from .ring import _as_fraction, _is_int, projective_space
 
 _P2 = projective_space(2)
 
@@ -170,7 +170,7 @@ def min_multiplicity_for_degree(d: int) -> Optional[ThresholdRecord]:
     the module docstring.  Exact chi_2 is evaluated at a and a - 1 only, and
     each value must match `_CHI2` or AssertionError is raised.
     """
-    if d < 4:
+    if not _is_int(d) or d < 4:
         raise DomainError("degree must be at least 4")
     a = _min_order(d)
     return None if a is None else _plane_record(d, a)
@@ -224,7 +224,7 @@ def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
     chi_1 is evaluated at d and, when d >= 2, at d - 1, and each value must
     match `_CHI1` or AssertionError is raised.
     """
-    if c < 1:
+    if not _is_int(c) or c < 1:
         raise DomainError("component count must be >= 1")
     if c <= 3:
         return None  # d^2 coefficient c(c-3) <= 0: chi_1 < 0 wherever cd > 6
@@ -280,9 +280,9 @@ def two_component_m2_predicate(pairing, c2) -> bool:
     lhs = Fraction(0)
     for i in range(r):
         for j in range(r):
-            lhs += Fraction(pairing[i][j])
-        lhs -= 3 * Fraction(pairing[i][i])
-    c2 = Fraction(c2)
+            lhs += _as_fraction(pairing[i][j])
+        lhs -= 3 * _as_fraction(pairing[i][i])
+    c2 = _as_fraction(c2)
     if c2 == 0:
         return lhs >= 0
     N = 64

@@ -55,6 +55,35 @@ def test_chi_float_mode(p2_file):
     assert out.strip() == "0.00969516988383"
 
 
+BIG = str(10 ** 200)
+
+
+@pytest.mark.parametrize("argv, cell, expected", [
+    # leading_scale is below binary64's smallest subnormal at k = 70 and a
+    # subnormal, with fewer than 12 good digits, at k = 54
+    (["leading", "--k", "70"], "leading_scale", "3.67164621166E-444"),
+    (["leading", "--k", "54"], "leading_scale", "1.29968766455E-319"),
+    (["gysin", "--n", "2", "--lambda", BIG + "," + BIG], "coefficient",
+     "1.00000000000E+400"),
+    (["minmult", "--d", BIG], "chi_at_min", "2.00000000000E+398"),
+], ids=["leading-k70", "leading-k54", "gysin", "minmult"])
+def test_float_prints_values_outside_binary64(p2_file, argv, cell, expected):
+    if argv[0] == "leading":
+        argv = argv + ["--pair", p2_file]
+    code, out, err = invoke(argv + ["--float", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)[cell] == expected
+
+
+def test_numeric_chi_beyond_binary64_is_a_domain_error(tmp_path):
+    path = tmp_path / "huge_log.json"
+    path.write_text('{"geometry": {"preset": "P2"},'
+                    ' "components": [{"degree": %s, "mult": "inf"}]}' % BIG)
+    code, out, err = invoke(["chi", "--pair", str(path), "--k", "2", "--float"])
+    assert (code, out) == (3, "")
+    assert "binary64" in err and "Traceback" not in err
+
+
 def test_leading_command(p2_file):
     code, out, _ = invoke(["leading", "--pair", p2_file, "--k", "2",
                            "--format", "json"])

@@ -268,6 +268,13 @@ def test_tangent_chern_is_checked(tangent):
         Geometry(2, [("h", 1)], {(2,): 1}, tangent_chern=tangent)
 
 
+@pytest.mark.parametrize("kind", ["projectiv", "Projective", "", None])
+def test_geometry_kind_is_checked(kind):
+    # kind selects the positivity verdicts and the pair-file branches
+    with pytest.raises(DomainError):
+        Geometry(2, [("h", 1)], {(2,): 1}, kind=kind)
+
+
 @pytest.mark.parametrize("dim, generators, integrals", [
     (1, [("p", 1)], {(1, 0): 1}),
     (2, [("a", 1), ("b", 1)], {(3, -1): 1}),
