@@ -173,7 +173,8 @@ def _cmd_minmult(args):
 def _cmd_lines(args):
     if args.c is None and args.c_max < 4:  # the scan starts at c = 4
         raise DomainError("c-max must be an integer >= 4")
-    cs = [args.c] if args.c is not None else list(range(4, args.c_max + 1))
+    cs = [args.c] if args.c is not None else range(4, args.c_max + 1)
+    thresholds._check_line_count(cs[-1])  # before the first row's work
     return [_threshold_row(c, thresholds.line_arrangement_threshold(c), args.float)
             for c in cs]
 

@@ -28,6 +28,8 @@ def harmonic_prefixes(ends, n, exact=True):
     """{J: [H_J^(1), ..., H_J^(n)]} for every J in ends, H_J^(q) = sum_{j<=J}
     j^-q as Fractions (0 at J = 0); with exact=False, an end J >= 64 gets
     H_63^(q) plus `_tail`(64, J, q)'s value, within 1e-23 of H_J^(q)."""
+    if not (_is_int(n) and n >= 1 and all(map(_is_int, ends))):
+        raise DomainError("harmonic sums need integer ends and a power n >= 1")
     ends = sorted(set(ends))
     if ends and ends[0] < 0:
         raise DomainError("harmonic sums need ends >= 0")
@@ -64,6 +66,8 @@ def _block_sums(first, ends, powers):
 
 def harmonic_range(a, b, power=1):
     """Sum of 1/j**power over a <= j <= b, a Fraction; a >= 1, 0 when b < a."""
+    if not (_is_int(a) and _is_int(b) and _is_int(power) and power >= 1):
+        raise DomainError("harmonic ranges need integer ends and a power >= 1")
     if a < 1:
         raise DomainError("harmonic ranges start at j >= 1")
     return _block_sums(a, [b], (power,))[b][0] if a <= b else Fraction(0)

@@ -14,9 +14,9 @@ canonical class K_X + Delta^(k).  Segre classes are the inverses of these,
 and chi_k is (-1)^n times the integral of prod_{j=1..k} s(Omega^(j))(t/j),
 the j-th factor's degree-q part weighted by j^-q: the truncated exp of the
 summed logs, as positive degrees are nilpotent.  Under t -> t/j,
-(1 - (j/m_i) D_i) becomes (1 - D_i/m_i), and between breakpoints ceil(m_i)
-the surviving components are fixed, so on such an interval [a, b], with [.]_q
-the degree-q part,
+(1 - (j/m_i) D_i) becomes (1 - D_i/m_i), and between the breakpoints
+`m_i.last_order` the surviving components are fixed, so on such an interval
+[a, b], with [.]_q the degree-q part,
 
     sum_{j=a..b} log s^(j)(t/j) = (b - a + 1) L0 + sum_q H^(q)(a..b) [Lv]_q,
 
@@ -96,13 +96,10 @@ class OrbifoldPair:
                                             if c.multiplicity.is_infinite])
 
     def stabilization_order(self) -> int:
-        """Smallest j* with every finite multiplicity <= j*; classes of
+        """Smallest j* past every finite component's last order; classes of
         order j >= j* coincide with the logarithmic profile."""
-        worst = 1
-        for c in self.components:
-            if not c.multiplicity.is_infinite:
-                worst = max(worst, math.ceil(c.multiplicity.value))
-        return worst
+        return 1 + max((c.multiplicity.last_order for c in self.components
+                        if not c.multiplicity.is_infinite), default=0)
 
     def __repr__(self):
         return "OrbifoldPair(%r, %d components)" % (self.geometry, len(self.components))
@@ -116,12 +113,8 @@ def _check_order(k):
 
 
 def order_coefficient(mult: Multiplicity, k) -> Fraction:
-    """(1 - k/m)^+ with the convention k/inf = 0."""
-    if mult.is_infinite:
-        return Fraction(1)
-    if k is INFINITE_ORDER:
-        return Fraction(0)
-    return max(Fraction(0), 1 - mult.ratio(k))
+    """(1 - k/m)^+, 0 past `mult.last_order`; k/inf = 0."""
+    return 1 - mult.ratio(k) if k <= mult.last_order else Fraction(0)
 
 
 def delta_k(pair: OrbifoldPair, k) -> list[DeltaTerm]:
@@ -189,7 +182,7 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
 
     The module docstring's interval sums, regrouped by component; ring work
     does not depend on k.  c(Omega_X) adds -sum_q H_k^(q) [log c(Omega_X)]_q;
-    component i, alive at orders 1..J_i = min(k, ceil(m_i) - 1), adds
+    component i, alive at orders 1..J_i = min(k, m_i.last_order), adds
     sum_r D_i^r/r (J_i/m_i^r - H_J_i^(r)).  Exact needs k <= EXACT_ORDER_LIMIT;
     numeric=True takes every H_J^(q) with J >= 64 to within 1e-23 from one
     rational Euler-Maclaurin tail, and rounds only the result to a float.
@@ -202,9 +195,7 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
             "exact evaluation is limited to k <= %d; use numeric=True"
             % EXACT_ORDER_LIMIT)
     geom, n = pair.geometry, pair.geometry.dim
-    lasts = [k if c.multiplicity.is_infinite
-             else min(k, math.ceil(c.multiplicity.value) - 1)
-             for c in pair.components]
+    lasts = [min(k, c.multiplicity.last_order) for c in pair.components]
     # prefix[J][q - 1] = H_J^(q), for J = k and every component's last order
     prefix = harmonic_prefixes(lasts + [k], n, exact=not numeric)
     log_c = _series(geom.tangent_chern.dual() - 1,  # constant term 1
@@ -233,7 +224,12 @@ def leading_scale(n: int, k: int) -> Fraction:
 
 
 def chi_leading_term(pair: OrbifoldPair, k: int) -> ChiReport:
-    """Package chi_k with its asymptotic scale and the positivity verdict."""
+    """Package chi_k with its asymptotic scale and the positivity verdict;
+    exact only, so k <= EXACT_ORDER_LIMIT."""
+    if _is_int(k) and k > EXACT_ORDER_LIMIT:  # before any class is built
+        raise DomainError("chi_leading_term is exact only, for k <= %d; "
+                          "chi_k(pair, k, numeric=True) evaluates beyond"
+                          % EXACT_ORDER_LIMIT)
     _, positive = canonical_k(pair, k)
     return ChiReport(k=k, chi=chi_k(pair, k),
                      leading_scale=leading_scale(pair.geometry.dim, k),
@@ -279,7 +275,7 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
             continue
         if not m.is_integer or m.value < 2:
             raise DomainError("finite multiplicities must be integers >= 2")
-        if k < m.value:
+        if k <= m.last_order:
             raise DomainError("needs k >= every finite multiplicity")
 
     c2 = geom.tangent_chern.component(2).integrate()

@@ -33,6 +33,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_dimension(dim):
+    if not _is_int(dim) or dim < 1:
+        raise DomainError("dimension must be an integer >= 1")
+
+
 def _immutable(self, *args):
     """__setattr__ and __delattr__ of the immutable value types, whose
     __init__ sets each field once with object.__setattr__."""
@@ -46,7 +51,8 @@ _INFINITY_WORDS = ("inf", "infinity", "oo")
 class Multiplicity:
     """Orbifold multiplicity: a rational >= 1, or infinite (logarithmic).
 
-    The arithmetic convention k/inf = 0 is built into `ratio`.
+    The convention k/inf = 0 is built into `ratio`, and the order-k
+    weight's breakpoint into `last_order`.
     """
 
     __slots__ = ("value",)
@@ -78,6 +84,11 @@ class Multiplicity:
     @property
     def is_integer(self) -> bool:
         return self.value is not None and self.value.denominator == 1
+
+    @property
+    def last_order(self):
+        """Last order k with (1 - k/m)^+ > 0: ceil(m) - 1, or INFINITE_ORDER."""
+        return INFINITE_ORDER if self.value is None else math.ceil(self.value) - 1
 
     def ratio(self, k) -> Fraction:
         """k/m as an exact rational; 0 when m is infinite."""
@@ -134,8 +145,7 @@ class Geometry:
 
     def __init__(self, dim, generators, integrals, kind="custom",
                  tangent_chern=None):
-        if not _is_int(dim) or dim < 1:
-            raise DomainError("dimension must be an integer >= 1")
+        _check_dimension(dim)
         if kind not in ("projective", "abelian", "surface", "custom"):
             raise DomainError("unknown geometry kind %r" % (kind,))
         generators = tuple((name, deg) for name, deg in generators)
@@ -389,6 +399,7 @@ def _series(u: GradedClass, coefficients) -> GradedClass:
 def projective_space(n) -> Geometry:
     """Projective n-space: one degree-1 generator h, int h^n = 1,
     c(T) = (1+h)^(n+1) truncated."""
+    _check_dimension(n)  # before range(n + 1) reads it
     return Geometry(n, [("h", 1)], {(n,): 1}, kind="projective",
                     tangent_chern={(q,): math.comb(n + 1, q) for q in range(n + 1)})
 

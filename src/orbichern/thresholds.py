@@ -49,6 +49,10 @@ _CHI2 = ((2, -27, 48), (-12, 36, 0), (12, 0, 0))  # 4 a^2 chi_2: a outer, d inne
 _CHI1 = ((1, -3, 0), (0, -12, 0), (0, 0, 48))  # 8 chi_1: d outer, c inner
 _SWEEP_END = 300  # table1 decides every degree up to here
 
+#: Largest component count `line_arrangement_threshold` takes: its exact
+#: chi_1 check builds all c components, about 1 s at c = 10^4.
+LINE_COUNT_LIMIT = 10_000
+
 
 class ThresholdRecord(NamedTuple):
     """(parameter, minimal value, chi at the minimum and just below it)."""
@@ -215,6 +219,14 @@ def _chi1_lines(c: int, d: int) -> Fraction:
     return chi_k(line_arrangement_pair([d] * c), 1)
 
 
+def _check_line_count(c) -> None:
+    if not _is_int(c) or c < 1:
+        raise DomainError("component count must be >= 1")
+    if c > LINE_COUNT_LIMIT:
+        raise DomainError("component count must be <= LINE_COUNT_LIMIT = %d: "
+                          "the exact chi_1 check is linear in c" % LINE_COUNT_LIMIT)
+
+
 def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
     """Minimal equal degree d for which c multiplicity-2 components give a
     general-type pair (c d > 6) with chi_1 > 0; None when c <= 3, where the
@@ -222,10 +234,10 @@ def line_arrangement_threshold(c: int) -> Optional[ThresholdRecord]:
 
     Each candidate d is decided by the sign of 8 chi_1 from `_CHI1`.  Exact
     chi_1 is evaluated at d and, when d >= 2, at d - 1, and each value must
-    match `_CHI1` or AssertionError is raised.
+    match `_CHI1` or AssertionError is raised.  c > LINE_COUNT_LIMIT is
+    refused before any pair is built.
     """
-    if not _is_int(c) or c < 1:
-        raise DomainError("component count must be >= 1")
+    _check_line_count(c)
     if c <= 3:
         return None  # d^2 coefficient c(c-3) <= 0: chi_1 < 0 wherever cd > 6
     d = _first_positive(_rows_at(_CHI1, c), 1, lambda d: c * d > 6)

@@ -355,6 +355,15 @@ def test_lines_takes_one_count_or_a_scan_not_both():
     assert "--c-max" in err and "not allowed with argument --c" in err
 
 
+@pytest.mark.parametrize("argv", [["--c", str(10 ** 30)],
+                                  ["--c-max", str(10 ** 30)], ["--c", "10001"]])
+def test_lines_past_count_limit_is_refused_before_any_pair(argv):
+    # the exact chi_1 check builds all c components: 10^30 of them overflowed
+    code, out, err = invoke(["lines"] + argv)
+    assert code == 3 and out == ""
+    assert "LINE_COUNT_LIMIT = 10000" in err
+
+
 class FailingStream(io.StringIO):
     """A stdout whose writes fail with the given OSError."""
 

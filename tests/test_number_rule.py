@@ -13,7 +13,8 @@ import pytest
 
 from orbichern.errors import DomainError
 from orbichern.gysin import gysin_coefficient, jump_data
-from orbichern.harmonic import diagonal_coefficient
+from orbichern.harmonic import (diagonal_coefficient, harmonic_prefixes,
+                                harmonic_range)
 from orbichern.orbifold import (OrbifoldPair, chi_trivial_canonical_closed_form,
                                 leading_scale)
 from orbichern.ring import Multiplicity, abelian_variety, projective_space
@@ -42,6 +43,14 @@ ENTRY_POINTS = {
                                   DomainError),
     "jump_data_n": (lambda v: jump_data(v, ()), 2.0, DomainError),
     "diagonal_coefficient": (diagonal_coefficient, 5.0, DomainError),
+    "harmonic_range_start": (lambda v: harmonic_range(v, 3), 1.0, DomainError),
+    "harmonic_range_end": (lambda v: harmonic_range(1, v), 2.0, DomainError),
+    "harmonic_range_power": (lambda v: harmonic_range(1, 3, v), 2.0,
+                             DomainError),
+    "harmonic_prefixes_end": (lambda v: harmonic_prefixes([v, 3], 2), 2.0,
+                              DomainError),
+    "harmonic_prefixes_power": (lambda v: harmonic_prefixes([3], v), 2.0,
+                                DomainError),
     "leading_scale_n": (lambda v: leading_scale(v, 2), 2.0, DomainError),
     "leading_scale_k": (lambda v: leading_scale(2, v), 2.5, DomainError),
     "pair_multiplicity": (lambda v: OrbifoldPair(P2, [(12 * H, v)]), 2.5,
@@ -56,6 +65,7 @@ ENTRY_POINTS = {
     "class_scale_degrees": (lambda v: H.scale_degrees(v), 0.5, TypeError),
     "class_power": (lambda v: H ** v, 2.0, DomainError),
     "class_component": (lambda v: (1 + H).component(v), 1.0, DomainError),
+    "projective_space": (projective_space, 2.0, DomainError),
 }
 
 

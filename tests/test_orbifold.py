@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from orbichern import orbifold
 from orbichern.cli import run
 from orbichern.errors import DomainError
 from orbichern.orbifold import (BoundaryComponent, OrbifoldPair, canonical_k,
@@ -282,6 +283,16 @@ def test_chi_exactness_threshold():
         chi_k(pair, 10_001)
     value = chi_k(pair, 10_001, numeric=True)
     assert isinstance(value, float)
+
+
+def test_leading_term_checks_the_exact_limit_first(monkeypatch):
+    # chi_leading_term has no numeric path, so its message points to chi_k's
+    def no_class(*args):
+        raise AssertionError("a class was built before the limit check")
+    monkeypatch.setattr(orbifold, "canonical_k", no_class)
+    with pytest.raises(DomainError, match=r"exact only, for k <= 10000; "
+                       r"chi_k\(pair, k, numeric=True\)"):
+        chi_leading_term(plane_pair((12, 107)), 10_001)
 
 
 def test_chi_numeric_matches_exact_on_small_orders():
