@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: chi, leading, segre, canonical, table1, minmult, lines, k3scan,
-gysin, pieri, summands.  Numeric output is exact ("p/q"); --float rounds
-chi, leading, table1, minmult, lines, k3scan and gysin to 12 digits, and
-takes chi past k = 10^4 with rational harmonic tails within 1e-23.  --format
-selects table, csv or json (scan commands emit one JSON object per line).
---lambda and --degrees take comma-separated integers with no empty field;
---lambda 0 is the empty partition.
+gysin, pieri, summands.  Numeric output is exact ("p/q").  --float prints
+chi, leading, table1, minmult, lines, k3scan and gysin to 12 significant
+digits, each value rounded once (banker's rounding) from its exact value;
+numeric chi and the k3scan ratio are binary64 numbers, so theirs is binary.
+On chi, --float also passes k = 10^4, with rational harmonic tails within
+1e-23.  --format selects table, csv or json (scan commands emit one JSON
+object per line).  --lambda and --degrees take comma-separated integers
+with no empty field; --lambda 0 is the empty partition.
 Exit codes: 0 success, 1 output could not be written, 2 malformed input,
 3 domain error.
 
@@ -35,14 +37,13 @@ _FLOAT_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
 def format_float(x) -> str:
-    """x to 12 significant digits: rounded from float(x) where that is a
-    normal binary64 number, else from the exact rational in one step."""
-    with suppress(OverflowError):
-        f = float(x)
-        if abs(f) >= sys.float_info.min:
-            return str(_FLOAT_CONTEXT.plus(Decimal(f)))
-    x = Fraction(x)
-    return str(_FLOAT_CONTEXT.divide(x.numerator, x.denominator))
+    """x rounded once to 12 significant digits from its exact value, spelled
+    shortest if dyadic (3.5), else with all 12 digits (2.82000000000)."""
+    x = Fraction(x)  # exact for a float too
+    d = _FLOAT_CONTEXT.divide(x.numerator, x.denominator)
+    if x.denominator & (x.denominator - 1):  # not a power of two
+        d = _FLOAT_CONTEXT.quantize(d, Decimal((0, (1,), d.adjusted() - 11)))
+    return str(d)
 
 
 def _fmt(value, as_float=False) -> str:
@@ -52,9 +53,7 @@ def _fmt(value, as_float=False) -> str:
         return "yes"
     if value is False:
         return "no"
-    if isinstance(value, Fraction):
-        return format_float(value) if as_float else str(value)
-    if isinstance(value, float):
+    if isinstance(value, float) or as_float and isinstance(value, Fraction):
         return format_float(value)
     return str(value)
 

@@ -106,7 +106,7 @@ class OrbifoldPair:
 
 
 def _check_order(k):
-    if k is INFINITE_ORDER:
+    if k == INFINITE_ORDER:
         return
     if not _is_int(k) or k < 1:
         raise DomainError("order k must be a positive integer or infinite")
@@ -188,7 +188,7 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
     rational Euler-Maclaurin tail, and rounds only the result to a float.
     """
     _check_order(k)
-    if k is INFINITE_ORDER:
+    if k == INFINITE_ORDER:
         raise DomainError("chi is indexed by finite orders")
     if not numeric and k > EXACT_ORDER_LIMIT:
         raise DomainError(

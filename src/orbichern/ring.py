@@ -94,7 +94,7 @@ class Multiplicity:
         """k/m as an exact rational; 0 when m is infinite."""
         if self.value is None:
             return Fraction(0)
-        if k is INFINITE_ORDER:
+        if k == INFINITE_ORDER:
             raise DomainError("inf/m is undefined for finite m")
         return Fraction(k) / self.value
 
@@ -111,7 +111,7 @@ class Multiplicity:
         return "Multiplicity(%s)" % self
 
 
-#: Sentinel accepted by order-indexed operations in place of a finite order.
+#: The infinite order; order-indexed operations accept any float equal to it.
 INFINITE_ORDER = math.inf
 
 
@@ -396,6 +396,22 @@ def _series(u: GradedClass, coefficients) -> GradedClass:
 
 # -- geometry presets --------------------------------------------------------
 
+def _gram_integrals(gram, ngen, what) -> dict:
+    """int g_i g_j = gram[i][j] for the first len(gram) of ngen generators,
+    all of degree 1; gram must be symmetric."""
+    integrals = {}
+    for i, row in enumerate(gram):
+        for j in range(i, len(gram)):
+            vij = _as_fraction(row[j])
+            if _as_fraction(gram[j][i]) != vij:
+                raise DomainError("%s matrix must be symmetric" % what)
+            exps = [0] * ngen
+            exps[i] += 1
+            exps[j] += 1
+            integrals[tuple(exps)] = vij
+    return integrals
+
+
 def projective_space(n) -> Geometry:
     """Projective n-space: one degree-1 generator h, int h^n = 1,
     c(T) = (1+h)^(n+1) truncated."""
@@ -423,16 +439,7 @@ def abelian_variety(n, selfint=None, names=None, pairing=None) -> Geometry:
     r = len(names)
     if len(pairing) != r or any(len(row) != r for row in pairing):
         raise DomainError("pairing matrix shape does not match generators")
-    integrals = {}
-    for i in range(r):
-        for j in range(i, r):
-            vij = _as_fraction(pairing[i][j])
-            if _as_fraction(pairing[j][i]) != vij:
-                raise DomainError("pairing matrix must be symmetric")
-            exps = [0] * r
-            exps[i] += 1
-            exps[j] += 1
-            integrals[tuple(exps)] = vij
+    integrals = _gram_integrals(pairing, r, "pairing")
     return Geometry(2, [(nm, 1) for nm in names], integrals, kind="abelian")
 
 
@@ -452,20 +459,9 @@ def surface_with_invariants(c2, divisors=("D",), kk=0, kd=None, dd=None) -> Geom
     if "K" in divisors or "e" in divisors:
         raise DomainError("divisor names K and e are reserved")
     gens = [("K", 1)] + [(nm, 1) for nm in divisors] + [("e", 2)]
-    ngen = len(gens)
-
-    def exp(*pairs):
-        e = [0] * ngen
-        for idx, v in pairs:
-            e[idx] += v
-        return tuple(e)
-
-    integrals = {exp((0, 2)): _as_fraction(kk), exp((ngen - 1, 1)): _as_fraction(c2)}
-    for i in range(r):
-        integrals[exp((0, 1), (1 + i, 1))] = _as_fraction(kd[i])
-        for j in range(i, r):
-            if _as_fraction(dd[i][j]) != _as_fraction(dd[j][i]):
-                raise DomainError("dd matrix must be symmetric")
-            integrals[exp((1 + i, 1), (1 + j, 1))] = _as_fraction(dd[i][j])
+    gram = [[kk] + kd] + [[kd_i] + dd_i for kd_i, dd_i in zip(kd, dd)]
+    integrals = _gram_integrals(gram, r + 2, "dd")
+    zero = (0,) * (r + 1)  # the exponents of K and the divisors
+    integrals[zero + (1,)] = _as_fraction(c2)
     return Geometry(2, gens, integrals, kind="surface",
-                    tangent_chern={exp(): 1, exp((0, 1)): -1, exp((ngen - 1, 1)): 1})
+                    tangent_chern={zero + (0,): 1, (1,) + zero: -1, zero + (1,): 1})

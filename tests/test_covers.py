@@ -1,4 +1,4 @@
-"""A ring-free chi_1 oracle from adapted covers of the plane.
+"""A ring-free chi_1 oracle from adapted covers of P^2 and P^3.
 
 Let pi: Y -> P^2 be a cover ramified to order m_i over smooth curves D_i in
 general position.  Then pi* Omega^(1)(P^2, Delta) = Omega_Y, so per unit
@@ -97,3 +97,53 @@ def test_cover_oracle_known_values(components, chi1):
     """Worked arrangements: the oracle alone, then chi_k against it."""
     assert c1_squared(components) - orbifold_euler(components) == chi1
     assert chi_k(plane_pair(components), 1) == chi1
+
+
+# -- threefolds: cyclic covers of P^3 ------------------------------------------
+#
+# Y: w^m = f_d, m | d, is ramified to order m over one smooth surface D of
+# degree d in P^3, so per unit covering degree the Chern numbers of
+# Omega^(1)(P^3, (1 - 1/m) D) are those of Omega_Y over m:
+# - K_Y = pi*(K + Delta), so K_Y^3 = m (-4 + d (m - 1)/m)^3;
+# - e(Y) = m e(P^3 \ D) + e(D), with e(D) = d^3 - 4 d^2 + 6 d;
+# - chi(O_Y) = sum_{i<m} chi(O(-i d/m)), by the eigensheaves of pi_* O_Y;
+# and c1 c2 (Omega_Y) = -24 chi(O_Y), c3 (Omega_Y) = -e(Y).
+
+P3 = projective_space(3)
+COVERS_OF_P3 = [(d, m) for d in range(1, 31) for m in range(2, d + 1)
+                if d % m == 0]
+
+
+def p3_cover_invariants(d, m):
+    """(K_Y^3, chi(O_Y), e(Y)) of the m-fold cyclic cover of P^3 branched
+    along a smooth surface of degree d."""
+    def chi_o(t):  # chi(O(t)) on P^3, negative t included
+        return F((t + 1) * (t + 2) * (t + 3), 6)
+
+    e_d = d ** 3 - 4 * d ** 2 + 6 * d
+    return (m * (-4 + F(d * (m - 1), m)) ** 3,
+            sum(chi_o(-i * d // m) for i in range(m)),
+            m * (4 - e_d) + e_d)
+
+
+@pytest.mark.parametrize("d, m, chi1", [
+    (4, 2, 24), (6, 2, 73), (6, 3, 68), (5, 5, 40), (8, 4, 112),
+    (12, 6, 200), (30, 5, 1660),
+])
+def test_p3_cover_oracle_known_values(d, m, chi1):
+    k_cubed, chi_o, e = p3_cover_invariants(d, m)
+    assert (k_cubed + 48 * chi_o - e) / m == chi1
+
+
+def test_p3_cover_chern_numbers_and_chi1():
+    """All 81 pairs 2 <= m | d <= 30: the three Chern numbers from
+    `cotangent_chern` and chi_1 from `chi_k` equal the cover's."""
+    assert len(COVERS_OF_P3) == 81
+    for d, m in COVERS_OF_P3:
+        pair = OrbifoldPair(P3, [(P3.generator("h") * d, m)])
+        k_cubed, chi_o, e = p3_cover_invariants(d, m)
+        c = cotangent_chern(pair, 1)
+        c1, c2, c3 = c.component(1), c.component(2), c.component(3)
+        numbers = ((c1 ** 3).integrate(), (c1 * c2).integrate(), c3.integrate())
+        assert numbers == (k_cubed / m, -24 * chi_o / m, -e / m), (d, m)
+        assert chi_k(pair, 1) == (k_cubed + 48 * chi_o - e) / m, (d, m)

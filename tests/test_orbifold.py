@@ -53,6 +53,25 @@ def test_delta_infinite_order_keeps_only_log_part():
     assert [t.coefficient for t in terms] == [0, 1, 0]
 
 
+def test_any_infinite_float_is_the_infinite_order():
+    inf = float("inf")
+    assert inf is not INFINITE_ORDER
+    pair = plane_pair((1, 2), (2, "inf"), (3, F(5, 2)))
+    assert delta_k(pair, inf) == delta_k(pair, INFINITE_ORDER)
+    assert canonical_k(pair, inf) == canonical_k(pair, INFINITE_ORDER)
+    with pytest.raises(DomainError, match="chi is indexed by finite orders"):
+        chi_leading_term(pair, inf)
+    with pytest.raises(DomainError):
+        Multiplicity(3).ratio(inf)
+
+
+@pytest.mark.parametrize("k", [-math.inf, math.nan])
+def test_negative_infinity_and_nan_are_no_orders(k):
+    with pytest.raises(DomainError, match="order k must be a positive "
+                                          "integer or infinite"):
+        delta_k(plane_pair((1, 2)), k)
+
+
 # -- cotangent classes ---------------------------------------------------------
 
 @pytest.mark.parametrize("fn", [chi_k, chi_leading_term, cotangent_segre,
