@@ -1,21 +1,33 @@
 """Partial harmonic sums and the diagonal boundary coefficient.
 
-Exact sums walk j once, in blocks of at most _BLOCK consecutive integers:
-each block is summed over its own lcm and scaled onto the lcm L of all blocks
-so far, so a sum of j^-q up to J is one numerator over L^q (about 1.44 q J
-bits) and costs one gcd to normalize; `_tail` encloses long sums cheaply.
+Exact sums come from one kernel, `_range_sums`: a sum of j^-q over j <= J
+is one numerator over lcm(1..J)^q (about 1.44 q J bits), left unreduced so
+that `chi_k` puts every sum over one common denominator and reduces once.
+The kernel splits j by its largest prime factor.  With y = isqrt(J), either
+j is y-smooth, and divides the part S of lcm(1..J) from primes <= y, or
+j = p s for one prime p > y.  The smooth terms are one flat sum of (S/j)^q;
+the others are sum_p p^-q H_{J//p}^(q), taken in blocks of _BLOCK
+consecutive primes over their product, and the blocks, being coprime, merge
+pairwise with no gcd.  Sums ending below _SHORT are one flat sum over
+lcm(1..J).  `_tail` encloses long sums cheaply.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from decimal import Context
 from fractions import Fraction
+from itertools import accumulate, compress, islice
+from operator import mul
 
 from .errors import DomainError
 from .ring import _is_int
 
-_BLOCK = 64
+_BLOCK = 32  # primes per block of the kernel
+_SHORT = 128  # sums below this end are one flat sum, faster there
+_CHUNK = 1024  # smooth terms summed at a time
+_TAIL_START = 64  # numeric sums: exact below, `_tail`(64, J, q) from here
 
 # (derivative order o, _EM_DEN B_(o+1)/(o+1)!) per Euler-Maclaurin end term, B_1 = 1/2
 _EM_DEN = math.factorial(15)  # 2730 * 12!, so every weight is an integer
@@ -34,34 +46,87 @@ def harmonic_prefixes(ends, n, exact=True):
     if ends and ends[0] < 0:
         raise DomainError("harmonic sums need ends >= 0")
     if exact:
-        return _block_sums(1, ends, range(1, n + 1))
-    head = _block_sums(1, [J for J in ends if J < _BLOCK] + [_BLOCK - 1],
-                       range(1, n + 1))
-    return {J: head[J] if J < _BLOCK else [h + _tail(_BLOCK, J, q)[0] for q, h
-                                           in enumerate(head[_BLOCK - 1], 1)]
-            for J in ends}
+        return {J: _fractions(*_range_sums(1, J, n)) for J in ends}
+    head = _fractions(*_range_sums(1, _TAIL_START - 1, n))
+    return {J: _fractions(*_range_sums(1, J, n)) if J < _TAIL_START else [
+        h + _tail(_TAIL_START, J, q)[0] for q, h in enumerate(head, 1)] for J in ends}
 
 
-def _block_sums(first, ends, powers):
-    """{J: [sum_{j=first..J} j^-q for q in powers]} for sorted ends J >= first - 1.
+def _fractions(lcm, sums):
+    """[N_q / lcm^q for q = 1, 2, ...], reduced."""
+    return [Fraction(s, lcm ** q) for q, s in enumerate(sums, 1)]
 
-    A block j..stop - 1 with lcm l adds sum (l/j)^q (L/l)^q to the
-    numerators over L^q; when L grows by g, they are scaled by g^q first.
-    Every end closes a block.
+
+def _range_sums(first, last, n):
+    """(lcm(1..last), [N_1, ..., N_n]) with sum_{j=first..last} j^-q =
+    N_q / lcm(1..last)^q unreduced, for 1 <= first <= last + 1.
+
+    With y = isqrt(last), a j <= last with no prime factor above y divides
+    S, the part of lcm(1..last) from primes <= y, and the others are p s
+    with one prime p > y and s <= last // p <= y.  So the sum is sum (S/j)^q
+    over S^q for the first kind, plus sum_p p^-q (H_t^(q) - H_t'^(q)),
+    t = last // p, t' = (first - 1) // p: that is sum_p h_p (P/p)^q over
+    (T P)^q, P the product of the primes p > y, with h_p = T^q (H_t^(q) -
+    H_t'^(q)) an integer over T = lcm(1..last // (y + 1)).  lcm(1..last) =
+    S P.
     """
-    out, lcm, sums, j = {}, 1, [0] * len(powers), first
-    for end in ends:
-        while j <= end:
-            stop = min(j + _BLOCK, end + 1)
-            block = math.lcm(*range(j, stop))
-            grow = block // math.gcd(block, lcm % block)  # lcm(L, l) / L
-            lcm *= grow
-            scale = lcm // block
-            sums = [s * grow ** q + sum((block // t) ** q for t in range(j, stop))
-                    * scale ** q for s, q in zip(sums, powers)]
-            j = stop
-        out[end] = [Fraction(s, lcm ** q) for s, q in zip(sums, powers)]
+    if last < _SHORT:  # one flat sum
+        lcm = math.lcm(*range(1, last + 1))
+        js = range(first, last + 1)
+        return lcm, [sum(u) for u in _powers(map(lcm.__floordiv__, js), n)]
+    y = math.isqrt(last)
+    sieve = bytearray(2) + bytearray([1]) * (last - 1)  # sieve[j]: j is prime
+    for p in range(2, y + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, last + 1, p)))
+    primes = list(compress(range(last + 1), sieve))
+    large = primes[bisect(primes, y):]
+    smooth = bytearray([1]) * (last + 1)  # smooth[j]: no prime factor of j is > y
+    for p in large:
+        smooth[p::p] = bytes(last // p)
+    lcm = 1
+    for p in primes[:len(primes) - len(large)]:
+        power = p
+        while power * p <= last:
+            power *= p
+        lcm *= power  # the largest power of p up to last
+    sums, js = [0] * n, compress(range(first, last + 1), smooth[first:])
+    while chunk := list(islice(js, _CHUNK)):  # memory stays O(_CHUNK) terms
+        powers = _powers(map(lcm.__floordiv__, chunk), n)
+        sums = [s + sum(u) for s, u in zip(sums, powers)]
+    top = last // (y + 1)  # no last // p is larger
+    lcm_t = math.lcm(*range(1, top + 1))
+    prefixes = [[0, *accumulate(u)]  # prefixes[q - 1][t] = T^q H_t^(q)
+                for u in _powers(map(lcm_t.__floordiv__, range(1, top + 1)), n)]
+    nodes = []
+    for i in range(0, len(large), _BLOCK):
+        block = large[i:i + _BLOCK]
+        product = math.prod(block)
+        quotients = _powers(map(product.__floordiv__, block), n)
+        nodes.append((product, [
+            sum(map(mul, u, [h[last // p] - h[(first - 1) // p] for p in block]))
+            for u, h in zip(quotients, prefixes)]))
+    while len(nodes) > 1:
+        nodes = [_merge(*nodes[i:i + 2]) if i + 1 < len(nodes) else nodes[i]
+                 for i in range(0, len(nodes), 2)]
+    product, rest = nodes[0]
+    scale = lcm // lcm_t
+    return lcm * product, [s * product ** q + r * scale ** q
+                           for q, (s, r) in enumerate(zip(sums, rest), 1)]
+
+
+def _powers(base, n):
+    """[u, u^2, ..., u^n], elementwise lists over the integers u of base."""
+    out = [list(base)]
+    for _ in range(1, n):
+        out.append(list(map(mul, out[-1], out[0])))
     return out
+
+
+def _merge(left, right):
+    """The sums of two coprime blocks, (P, [N_q]) each, over P P'."""
+    (p1, s1), (p2, s2) = left, right
+    return p1 * p2, [a * p2 ** q + b * p1 ** q for q, (a, b) in enumerate(zip(s1, s2), 1)]
 
 
 def harmonic_range(a, b, power=1):
@@ -70,7 +135,7 @@ def harmonic_range(a, b, power=1):
         raise DomainError("harmonic ranges need integer ends and a power >= 1")
     if a < 1:
         raise DomainError("harmonic ranges start at j >= 1")
-    return _block_sums(a, [b], (power,))[b][0] if a <= b else Fraction(0)
+    return _fractions(*_range_sums(a, b, power))[-1] if a <= b else Fraction(0)
 
 
 def _tail(c, J, q):

@@ -31,11 +31,12 @@ overall covering-degree factor is dropped.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, GeometryMismatch
-from .harmonic import _diagonal, harmonic_prefixes
+from .harmonic import _diagonal, _range_sums, harmonic_prefixes
 from .ring import (INFINITE_ORDER, Geometry, GradedClass, Multiplicity,
                    _immutable, _is_int, _series)
 
@@ -183,9 +184,14 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
     The module docstring's interval sums, regrouped by component; ring work
     does not depend on k.  c(Omega_X) adds -sum_q H_k^(q) [log c(Omega_X)]_q;
     component i, alive at orders 1..J_i = min(k, m_i.last_order), adds
-    sum_r D_i^r/r (J_i/m_i^r - H_J_i^(r)).  Exact needs k <= EXACT_ORDER_LIMIT;
-    numeric=True takes every H_J^(q) with J >= 64 to within 1e-23 from one
-    rational Euler-Maclaurin tail, and rounds only the result to a float.
+    sum_r D_i^r/r (J_i/m_i^r - H_J_i^(r)), and equal components are summed
+    once.  Exact needs k <= EXACT_ORDER_LIMIT and assembles psi^L of that log
+    class, L = lcm(1..k): degree q times L^q, so every H_J^(q) L^q is an
+    integer, and as psi^L is a ring map multiplying the integral by L^n, the
+    integral of the exp is divided by L^n once.  numeric=True is the same
+    assembly at L = 1, with every H_J^(q) with J >= 64 taken to within 1e-23
+    from one rational Euler-Maclaurin tail; only the result is rounded to a
+    float.
     """
     _check_order(k)
     if k == INFINITE_ORDER:
@@ -195,19 +201,28 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
             "exact evaluation is limited to k <= %d; use numeric=True"
             % EXACT_ORDER_LIMIT)
     geom, n = pair.geometry, pair.geometry.dim
-    lasts = [min(k, c.multiplicity.last_order) for c in pair.components]
-    # prefix[J][q - 1] = H_J^(q), for J = k and every component's last order
-    prefix = harmonic_prefixes(lasts + [k], n, exact=not numeric)
+    comps = Counter(pair.components)
+    lasts = {c: min(k, c.multiplicity.last_order) for c in comps}
+    ends = {k, *lasts.values()}
+    # scaled[J][q - 1] = H_J^(q) L^q, for J = k and every component's last order
+    if numeric:
+        lcm, scaled = 1, harmonic_prefixes(ends, n, exact=False)
+    else:
+        sums = {J: _range_sums(1, J, n) for J in ends}
+        lcm = sums[k][0]
+        scaled = {J: [s * (lcm // l) ** q for q, s in enumerate(N, 1)]
+                  for J, (l, N) in sums.items()}
     log_c = _series(geom.tangent_chern.dual() - 1,  # constant term 1
                     [Fraction((-1) ** (r + 1), r) for r in range(1, n + 1)])
-    total = -sum((log_c.component(q) * h for q, h in enumerate(prefix[k], 1)),
+    total = -sum((log_c.component(q) * h for q, h in enumerate(scaled[k], 1)),
                  geom.zero())
-    for comp, last in zip(pair.components, lasts):
-        inv_m = comp.multiplicity.ratio(1)  # 0 for a logarithmic component
-        weights = [(last * inv_m ** r - h) / r for r, h in enumerate(prefix[last], 1)]
+    for comp, count in comps.items():
+        last, lcm_m = lasts[comp], lcm * comp.multiplicity.ratio(1)  # L/m, 0 if log
+        weights = [(last * lcm_m ** r - h) * Fraction(count, r)
+                   for r, h in enumerate(scaled[last], 1)]
         total = total + _series(comp.divisor, weights)
     value = _series(total, [Fraction(1, math.factorial(r))  # exp(total) - 1
-                            for r in range(1, n + 1)]).integrate() * (-1) ** n
+                            for r in range(1, n + 1)]).integrate() / (-lcm) ** n
     if not numeric:
         return value
     try:

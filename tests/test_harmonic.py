@@ -48,12 +48,17 @@ def test_prefixes_match_binary_splitting(k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_prefixes_at_block_edges_match_running_sum(n):
-    # ends on both sides of the 64-term blocks, repeated and unsorted
-    ends = [129, 0, 64, 63, 65, 64, 127, 128, 0, 129]
+    # ends on both sides of the kernel's edges, repeated and unsorted: the
+    # one-block sums below 128; 64 for the numeric tail; the squares 169 and
+    # 361, where isqrt(J) moves; and 163, 359, 367, 577 and 787, where the
+    # count of primes in (isqrt(J), J] passes 32, 64 (twice), 96 and 128, so
+    # the kernel takes one more block of 32 primes and one more merge
+    ends = [129, 0, 64, 63, 65, 64, 127, 128, 0, 129, 162, 163, 168, 169,
+            358, 359, 360, 361, 366, 367, 576, 577, 786, 787]
     table = harmonic_prefixes(ends, n)
     assert sorted(table) == sorted(set(ends))
     running = [F(0)] * n
-    for j in range(130):
+    for j in range(788):
         if j:
             running = [h + F(1, j ** q) for q, h in enumerate(running, 1)]
         if j in table:

@@ -10,15 +10,18 @@ import pytest
 from orbichern import orbifold
 from orbichern.cli import run
 from orbichern.errors import DomainError
+from orbichern.harmonic import harmonic_prefixes
 from orbichern.orbifold import (BoundaryComponent, OrbifoldPair, canonical_k,
                                 chi_k, chi_leading_term,
                                 chi_trivial_canonical_closed_form,
                                 cotangent_chern, cotangent_segre, delta_k,
                                 leading_scale, log_asymptotic_coefficient,
                                 order_coefficient)
-from orbichern.ring import (INFINITE_ORDER, Geometry, Multiplicity,
+from orbichern.ring import (INFINITE_ORDER, Geometry, Multiplicity, _series,
                             abelian_variety, projective_space,
                             surface_with_invariants)
+
+from conftest import random_class
 
 F = Fraction
 
@@ -532,6 +535,61 @@ def test_chi_matches_per_order_product(name):
     for pair in random_pairs(MATRIX_GEOMETRIES[name], rng, 6):
         for k in matrix_orders(pair):
             assert chi_k(pair, k) == per_order_chi(pair, k), (pair.components, k)
+
+
+def fraction_chi(pair, k):
+    """Oracle: chi_k assembled in Fractions from the reduced harmonic sums
+    H_J^(q), one component at a time, with no common scale L and no grouping
+    of equal components."""
+    geom, n = pair.geometry, pair.geometry.dim
+    lasts = [min(k, c.multiplicity.last_order) for c in pair.components]
+    prefix = harmonic_prefixes(lasts + [k], n)
+    log_c = _series(geom.tangent_chern.dual() - 1,
+                    [F((-1) ** (r + 1), r) for r in range(1, n + 1)])
+    total = -sum((log_c.component(q) * h for q, h in enumerate(prefix[k], 1)),
+                 geom.zero())
+    for comp, last in zip(pair.components, lasts):
+        inv_m = comp.multiplicity.ratio(1)
+        weights = [(last * inv_m ** r - h) / r for r, h in enumerate(prefix[last], 1)]
+        total = total + _series(comp.divisor, weights)
+    return _series(total, [F(1, math.factorial(r))
+                           for r in range(1, n + 1)]).integrate() * (-1) ** n
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_GEOMETRIES))
+def test_chi_matches_fraction_assembly_at_every_small_order(name):
+    # two seeded pairs per geometry, each with its first component repeated
+    rng = random.Random("chi-fractions/" + name)
+    for pair in random_pairs(MATRIX_GEOMETRIES[name], rng, 2):
+        pair = pair.with_component(*pair.components[0])
+        for k in range(1, 301):
+            assert chi_k(pair, k) == fraction_chi(pair, k), (pair.components, k)
+
+
+def test_chi_matches_fraction_assembly_on_deep_pairs():
+    # the exact chi commands of the deep-chi benchmark workload
+    p3, k3_like = projective_space(3), surface_with_invariants(
+        c2=24, divisors=["D"], dd=[[6]])
+    h = p3.generator("h")
+    cases = [(OrbifoldPair(p3, [(h * 5, 3001), (h * 2, "inf")]), 3000),
+             (plane_pair((12, 10_000)), 4800), (plane_pair((12, 107)), 1000),
+             (plane_pair((12, 107)), 4800),
+             (OrbifoldPair(k3_like, [(k3_like.generator("D"), 5)]), 4800)]
+    for pair, k in cases:
+        assert chi_k(pair, k) == fraction_chi(pair, k), (pair.components, k)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_GEOMETRIES))
+def test_scale_degrees_is_a_ring_map_scaling_the_integral(name):
+    # psi^t, which exact chi_k applies with t = lcm(1..k): multiplicative,
+    # and t^n times the integral
+    geom = MATRIX_GEOMETRIES[name]
+    rng = random.Random("psi/" + name)
+    for _ in range(20):
+        a, b = random_class(geom, rng), random_class(geom, rng)
+        t = rng.choice([2, -3, F(5, 7), math.lcm(*range(1, rng.randint(1, 60)))])
+        assert (a * b).scale_degrees(t) == a.scale_degrees(t) * b.scale_degrees(t)
+        assert a.scale_degrees(t).integrate() == t ** geom.dim * a.integrate()
 
 
 @pytest.mark.parametrize("k", [5, 50, 500, 2000])
