@@ -181,6 +181,9 @@ def _cmd_lines(args):
 def _cmd_k3scan(args):
     if args.m_max < 2:  # as k3_coefficient(m) for the same m
         raise DomainError("m must be an integer >= 2")
+    if args.m_max > thresholds.K3_SCAN_LIMIT:  # before the first row's work
+        raise DomainError("m-max must be <= K3_SCAN_LIMIT = %d: the output "
+                          "grows as m-max^2" % thresholds.K3_SCAN_LIMIT)
     return [(str(m), _fmt(cm, args.float),
              _fmt(thresholds._ratio_bound(m, cm) if cm > 0 else None))
             for m, cm in thresholds._k3_coefficients(args.m_max)]

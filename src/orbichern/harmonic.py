@@ -8,8 +8,7 @@ j is y-smooth, and divides the part S of lcm(1..J) from primes <= y, or
 j = p s for one prime p > y.  The smooth terms are one flat sum of (S/j)^q;
 the others are sum_p p^-q H_{J//p}^(q), taken in blocks of _BLOCK
 consecutive primes over their product, and the blocks, being coprime, merge
-pairwise with no gcd.  Sums ending below _SHORT are one flat sum over
-lcm(1..J).  `_tail` encloses long sums cheaply.
+pairwise with no gcd.  `_tail` encloses long sums cheaply.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .errors import DomainError
 from .ring import _is_int
 
 _BLOCK = 32  # primes per block of the kernel
-_SHORT = 128  # sums below this end are one flat sum, faster there
 _CHUNK = 1024  # smooth terms summed at a time
 _TAIL_START = 64  # numeric sums: exact below, `_tail`(64, J, q) from here
 
@@ -70,10 +68,6 @@ def _range_sums(first, last, n):
     H_t'^(q)) an integer over T = lcm(1..last // (y + 1)).  lcm(1..last) =
     S P.
     """
-    if last < _SHORT:  # one flat sum
-        lcm = math.lcm(*range(1, last + 1))
-        js = range(first, last + 1)
-        return lcm, [sum(u) for u in _powers(map(lcm.__floordiv__, js), n)]
     y = math.isqrt(last)
     sieve = bytearray(2) + bytearray([1]) * (last - 1)  # sieve[j]: j is prime
     for p in range(2, y + 1):
@@ -98,7 +92,7 @@ def _range_sums(first, last, n):
     lcm_t = math.lcm(*range(1, top + 1))
     prefixes = [[0, *accumulate(u)]  # prefixes[q - 1][t] = T^q H_t^(q)
                 for u in _powers(map(lcm_t.__floordiv__, range(1, top + 1)), n)]
-    nodes = []
+    nodes = [(1, [0] * n)]  # the empty block, so no prime above y is needed
     for i in range(0, len(large), _BLOCK):
         block = large[i:i + _BLOCK]
         product = math.prod(block)
@@ -170,10 +164,12 @@ def diagonal_coefficient(m) -> Fraction:
     """
     if not _is_int(m) or m < 2:
         raise DomainError("m must be an integer >= 2")
-    h1, h2 = harmonic_prefixes([m], 2)[m]
-    return _diagonal(m, h1 - 1, h2 - 1)
+    return _diagonal(m, *_range_sums(1, m, 2))
 
 
-def _diagonal(m, s1, s2) -> Fraction:
-    """diagonal_coefficient(m) from s1, s2: sum 1/j, 1/j^2 over 2 <= j <= m."""
-    return (s1 * s1 - s2) / 2 - Fraction(m - 1, 2 * m)  # pair sum (s1^2 - s2)/2
+def _diagonal(m, lcm, sums) -> Fraction:
+    """diagonal_coefficient(m), one Fraction, from sums = [L H_m, L^2 H_m^(2)]
+    for any common multiple L of 1..m: the pair sum is (s1^2 - s2)/(2 L^2)."""
+    square = lcm * lcm
+    s1, s2 = sums[0] - lcm, sums[1] - square
+    return Fraction(m * (s1 * s1 - s2) - (m - 1) * square, 2 * m * square)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, GeometryMismatch
-from .harmonic import _diagonal, _range_sums, harmonic_prefixes
+from .harmonic import _diagonal, _fractions, _range_sums, harmonic_prefixes
 from .ring import (INFINITE_ORDER, Geometry, GradedClass, Multiplicity,
                    _immutable, _is_int, _series)
 
@@ -296,8 +296,8 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
     c2 = geom.tangent_chern.component(2).integrate()
     finite = [int(c.multiplicity.value) for c in pair.components
               if not c.multiplicity.is_infinite]
-    prefix = harmonic_prefixes(finite + [k], 2)
-    hk, hk2 = prefix[k]
+    sums = {J: _range_sums(1, J, 2) for J in {*finite, k}}
+    hk, hk2 = _fractions(*sums[k])
     total = -hk2 * c2
     factors = []
     for comp in pair.components:
@@ -306,8 +306,8 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
             factors.append((comp.divisor, hk, (hk * hk - hk2) / 2))
         else:
             mi = int(m.value)
-            s1, s2 = prefix[mi][0] - 1, prefix[mi][1] - 1  # over 2..mi
-            factors.append((comp.divisor, s1, _diagonal(mi, s1, s2)))
+            s1 = _fractions(*sums[mi])[0] - 1  # over 2..mi
+            factors.append((comp.divisor, s1, _diagonal(mi, *sums[mi])))
     for i, (div_i, s_i, diag_i) in enumerate(factors):
         total += diag_i * (div_i * div_i).integrate()
         for div_j, s_j, _ in factors[i + 1:]:

@@ -67,14 +67,6 @@ class Partition:
 
     __setattr__ = __delattr__ = _immutable
 
-    @classmethod
-    def _trusted(cls, parts: tuple) -> "Partition":
-        """A Partition of parts already known to be a valid, zero-free,
-        weakly decreasing tuple of ints; skips the checks."""
-        lam = object.__new__(cls)
-        object.__setattr__(lam, "parts", parts)
-        return lam
-
     @property
     def weight(self) -> int:
         return sum(self.parts)
@@ -149,10 +141,8 @@ def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int,
     each.  The outer loop runs over the at most two outer rows' deltas, so
     the inner lists over the lower rows are long: on the last stage of 4^8
     the outer rows 1..grow // 2 made 29,924 inner loops of 1.9 pairs on
-    average, rows 1..2 make 11,559 of 5.0.  The outer deltas moving at most
-    m + 1 - len(lower ends) boxes pair with the whole lower table in one
-    run; each later count j pairs with the slice of lower deltas that move
-    at most m - j boxes.
+    average, rows 1..2 make 11,559 of 5.0.  The outer deltas that move j
+    boxes pair with the lower deltas that move at most m - j.
     """
     if not m:
         return terms
@@ -189,20 +179,16 @@ def _strip_stage(terms: dict, m: int, size: int, fields: int, grow: int,
         ups, upper = known.get(cu) or _strip_table(cu, known, m, size, unit0)
         cl = c - cu
         lows, ends = known.get(cl) or _strip_table(cl, known, m, size, unit0)
-        top = m + 1 - len(ends)  # outer boxes that leave room for all lows
-        j, start = top, 0
+        start = 0
         key += shift
-        # the outer deltas of at most top boxes run first, in one run (to
-        # the end of ups when no outer count passes top), then one run per
-        # count, each with the lower deltas that still fit
-        for end in upper[top:] or upper[-1:]:
-            fit = lows if j <= top else lows[:ends[m - j]]
+        for j, end in enumerate(upper):  # the outer deltas moving j boxes
+            fit = lows if m - j >= len(ends) - 1 else lows[:ends[m - j]]
             for du in ups[start:end]:
                 base = key + du
                 for dl in fit:
                     k = base + dl
                     out[k] = get(k, 0) + mult
-            start, j = end, j + 1
+            start = end
     return out
 
 
@@ -271,15 +257,6 @@ class SchurExpansion:
 
     __setattr__ = __delattr__ = _immutable
 
-    @classmethod
-    def _trusted(cls, pairs) -> "SchurExpansion":
-        """An expansion of distinct (parts tuple, mult) pairs known to hold
-        valid partitions and positive int multiplicities; skips the checks."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", MappingProxyType(
-            {Partition._trusted(parts): mult for parts, mult in pairs}))
-        return out
-
     def __eq__(self, other):
         return isinstance(other, SchurExpansion) and self.terms == other.terms
 
@@ -319,8 +296,8 @@ def pieri_multiply(expansion: SchurExpansion, m: int) -> SchurExpansion:
     terms = {sum(p << s for p, s in zip(lam.parts, shifts)): mult
              for lam, mult in expansion.terms.items()}
     out = _strip_stage(terms, int(m), size, fields, fields, {})
-    return SchurExpansion._trusted(
-        _unpack(sorted(out.items(), reverse=True), size, fields))
+    return SchurExpansion(dict(
+        _unpack(sorted(out.items(), reverse=True), size, fields)))
 
 
 def _sym_tensor_keys(degrees):
@@ -358,7 +335,7 @@ def _sym_tensor_terms(degrees) -> list:
 def decompose_sym_tensor(degrees) -> SchurExpansion:
     """Schur decomposition of Sym^{a_1} x ... x Sym^{a_p}; every resulting
     partition has at most p parts."""
-    return SchurExpansion._trusted(_sym_tensor_terms(degrees))
+    return SchurExpansion(dict(_sym_tensor_terms(degrees)))
 
 
 def schur_dimension(lam, r: int) -> int:

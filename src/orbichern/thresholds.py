@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .harmonic import _tail, diagonal_coefficient, harmonic_range
+from .harmonic import _diagonal, _tail, diagonal_coefficient, harmonic_range
 from .orbifold import OrbifoldPair, chi_k
 from .ring import _as_fraction, _is_int, projective_space
 
@@ -52,6 +52,9 @@ _SWEEP_END = 300  # table1 decides every degree up to here
 #: Largest component count `line_arrangement_threshold` takes: its exact
 #: chi_1 check builds all c components, about 0.3 s at c = 10^4.
 LINE_COUNT_LIMIT = 10_000
+
+#: Largest k3scan --m-max: the output grows as M^2, 83 MB and 8 s at 8000.
+K3_SCAN_LIMIT = 8_000
 
 
 class ThresholdRecord(NamedTuple):
@@ -249,18 +252,16 @@ k3_coefficient = diagonal_coefficient
 
 
 def _k3_coefficients(m_max: int):
-    """Yield (m, k3_coefficient(m)) for 2 <= m <= m_max from running integer
-    sums over the running lcm L = lcm(1..m): S1 = L H_m, S2 = L^2 H_m^(2), so
-    c_m = ((S1 - L)^2 - (S2 - L^2))/(2 L^2) - (m - 1)/(2m) is one Fraction
-    per m, where a k3_coefficient call per m restarts both sums."""
+    """Yield (m, k3_coefficient(m)) for 2 <= m <= m_max, by `_diagonal` from
+    running sums L H_m, L^2 H_m^(2) over the running lcm L = lcm(1..m), where
+    a k3_coefficient call per m restarts both sums."""
     lcm = s1 = s2 = 1
     for m in range(2, m_max + 1):
         grow = m // math.gcd(lcm, m)
         lcm, s1, s2 = lcm * grow, s1 * grow, s2 * grow * grow
         u = lcm // m
-        s1, s2, square = s1 + u, s2 + u * u, lcm * lcm
-        pairs = (s1 - lcm) ** 2 - (s2 - square)  # 2 L^2 sum_{2<=j1<j2<=m} 1/(j1 j2)
-        yield m, Fraction(m * pairs - (m - 1) * square, 2 * m * square)
+        s1, s2 = s1 + u, s2 + u * u
+        yield m, _diagonal(m, lcm, [s1, s2])
 
 
 def k3_ratio_bound(m: int) -> float:

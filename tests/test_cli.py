@@ -364,6 +364,14 @@ def test_lines_past_count_limit_is_refused_before_any_pair(argv):
     assert "LINE_COUNT_LIMIT = 10000" in err
 
 
+def test_k3scan_past_its_limit_is_refused_before_any_row():
+    # the output grows as M^2: 83 MB at the limit, over 10 GB at 10^5
+    from orbichern.thresholds import K3_SCAN_LIMIT
+    code, out, err = invoke(["k3scan", "--m-max", str(K3_SCAN_LIMIT + 1)])
+    assert code == 3 and out == ""
+    assert "K3_SCAN_LIMIT = 8000" in err
+
+
 class FailingStream(io.StringIO):
     """A stdout whose writes fail with the given OSError."""
 

@@ -48,13 +48,14 @@ def test_prefixes_match_binary_splitting(k):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_prefixes_at_block_edges_match_running_sum(n):
-    # ends on both sides of the kernel's edges, repeated and unsorted: the
-    # one-block sums below 128; 64 for the numeric tail; the squares 169 and
-    # 361, where isqrt(J) moves; and 163, 359, 367, 577 and 787, where the
-    # count of primes in (isqrt(J), J] passes 32, 64 (twice), 96 and 128, so
-    # the kernel takes one more block of 32 primes and one more merge
+    # ends on both sides of the kernel's edges, repeated and unsorted: 1,
+    # with no primes, and 2 and 3, with only primes above isqrt(J); 64 for
+    # the numeric tail; the squares 4, 169 and 361, where isqrt(J) moves;
+    # and 163, 359, 367, 577 and 787, where the count of primes in
+    # (isqrt(J), J] passes 32, 64 (twice), 96 and 128, so the kernel takes
+    # one more block of 32 primes and one more merge
     ends = [129, 0, 64, 63, 65, 64, 127, 128, 0, 129, 162, 163, 168, 169,
-            358, 359, 360, 361, 366, 367, 576, 577, 786, 787]
+            358, 359, 360, 361, 366, 367, 576, 577, 786, 787, 1, 2, 3, 4]
     table = harmonic_prefixes(ends, n)
     assert sorted(table) == sorted(set(ends))
     running = [F(0)] * n

@@ -239,13 +239,12 @@ def test_sorted_terms_by_weight_then_descending_parts():
 
 
 def _closed_values():
-    """Partitions and expansions from each constructor: checked, trusted,
+    """Partitions and expansions from each constructor: checked,
     pieri_multiply and decompose_sym_tensor."""
     expansions = [SchurExpansion({(2, 1): 2, (): 1}),
-                  SchurExpansion._trusted([((3,), 1), ((2, 1), 4)]),
                   pieri_multiply(SchurExpansion({(1,): 1}), 2),
                   decompose_sym_tensor([2, 1, 1])]
-    partitions = [Partition((3, 1)), Partition._trusted((2, 2))]
+    partitions = [Partition((3, 1))]
     partitions += [lam for e in expansions for lam in e.terms]
     return partitions, expansions
 
