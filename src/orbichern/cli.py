@@ -9,6 +9,14 @@ On chi, --float also passes k = 10^4, with rational harmonic tails within
 1e-23.  --format selects table, csv or json (scan commands emit one JSON
 object per line).  --lambda and --degrees take comma-separated integers
 with no empty field; --lambda 0 is the empty partition.
+
+Syntax: orbichern COMMAND [--option VALUE | --option=VALUE | --flag ...].
+build_parser() returns the table of commands and their options, which one
+small parser reads.  An option may be shortened to a unique prefix (--deg),
+a value may be a negative number (--k -3), and the last of a repeated option
+wins.  -h or --help writes help to stdout and exits 0.  A usage error writes
+a usage line and "orbichern COMMAND: error: ..." naming the option to
+stderr, and exits 2.
 Exit codes: 0 success, 1 output could not be written, 2 malformed input,
 3 domain error.
 
@@ -17,14 +25,13 @@ All chi values are reported per unit covering degree.
 
 from __future__ import annotations
 
-import argparse
 import gc
-import io
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout, suppress
+from contextlib import suppress
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import orbifold, thresholds
 from .errors import DomainError, OrbichernError, PairFormatError
@@ -86,22 +93,38 @@ def _emit(rows, columns, fmt, out):
         out.write((line % row).rstrip() + "\n")
 
 
+_FORMATS = ("table", "csv", "json")
+
+
+def _parse_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("expected an integer, got %r" % text) from None
+
+
 def _parse_order(text):
     if text in _INFINITY_WORDS:
         return INFINITE_ORDER
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected an integer or inf, got %r" % text) from None
+        raise ValueError("expected an integer or inf, got %r" % text) from None
 
 
 def _parse_ints(text):
     try:
         return [int(p) for p in text.split(",")]  # an empty field is a ValueError
     except ValueError:
-        raise argparse.ArgumentTypeError("expected comma-separated integers "
-                                         "such as 2,2,1, got %r" % text) from None
+        raise ValueError("expected comma-separated integers such as 2,2,1, "
+                         "got %r" % text) from None
+
+
+def _parse_format(text):
+    if text not in _FORMATS:
+        raise ValueError("invalid choice: %r (choose from %s)"
+                         % (text, ", ".join(_FORMATS)))
+    return text
 
 
 # -- subcommand handlers: args (with the pair loaded) -> rows -----------------
@@ -240,80 +263,165 @@ def _finite(k):
     return k
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbichern",
-        description="Characteristic-class invariants of smooth orbifold pairs")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command table and its parser ----------------------------------------
 
-    def common(p, pair=False, k=False, numeric=True):
-        p.add_argument("--format", choices=("table", "csv", "json"),
-                       default="table")
-        if numeric:
-            p.add_argument("--float", action="store_true",
-                           help="12-digit printing; chi also evaluates numerically")
-        if pair:
-            p.add_argument("--pair", required=True, metavar="FILE",
-                           help="JSON pair description")
-        if k:
-            p.add_argument("--k", required=True, type=_parse_order, help="jet order")
+_REQUIRED = "required"  # the default of an option that must be given
 
-    p = sub.add_parser("chi", help="Euler-characteristic coefficient chi_k")
-    common(p, pair=True, k=True)
-    p.set_defaults(fn=_cmd_chi, columns=["chi"])
 
-    p = sub.add_parser("leading", help="chi_k with its Riemann-Roch scale")
-    common(p, pair=True, k=True)
-    p.set_defaults(fn=_cmd_leading, columns=[
-        "k", "chi", "leading_scale", "canonical_positive"])
+class _Option:
+    """One --name option.  convert turns its text into the value, raising
+    ValueError that names the expected form; a flag (convert None) takes no
+    value and is True when given.  text is how usage and help show it, and
+    excludes names the one option it may not be given with."""
 
-    p = sub.add_parser("segre", help="total Segre class of the order-k bundle")
-    common(p, pair=True, k=True, numeric=False)
-    p.set_defaults(fn=_cmd_segre, columns=["segre"])
+    __slots__ = ("flag", "dest", "convert", "default", "help", "text",
+                 "excludes")
 
-    p = sub.add_parser("canonical", help="order-k canonical class (k may be inf)")
-    common(p, pair=True, k=True, numeric=False)
-    p.set_defaults(fn=_cmd_canonical, columns=["class", "positive"])
+    def __init__(self, name, convert, default, help, metavar=None, dest=None,
+                 excludes=None):
+        self.flag, self.dest = "--" + name, dest or name.replace("-", "_")
+        self.convert, self.default, self.help = convert, default, help
+        self.text = self.flag if convert is None else "%s %s" % (
+            self.flag, metavar or name.upper().replace("-", "_"))
+        self.excludes = excludes and "--" + excludes
 
-    p = sub.add_parser("table1", help="minimal ramification orders by degree")
-    common(p)
-    p.set_defaults(fn=_cmd_table1, columns=_THRESHOLD_COLUMNS)
 
-    p = sub.add_parser("minmult", help="minimal order for one plane degree")
-    common(p)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(fn=_cmd_minmult, columns=_THRESHOLD_COLUMNS)
+_HELP = _Option("help", None, False, "show this help message and exit")
 
-    p = sub.add_parser("lines", help="minimal equal degree for c components")
-    common(p)
-    one_or_scan = p.add_mutually_exclusive_group()
-    one_or_scan.add_argument("--c", type=int, default=None)
-    one_or_scan.add_argument("--c-max", type=int, default=11)
-    p.set_defaults(fn=_cmd_lines, columns=_THRESHOLD_COLUMNS)
 
-    p = sub.add_parser("k3scan", help="trivial-canonical coefficient scan")
-    common(p)
-    p.add_argument("--m-max", type=int, default=200)
-    p.set_defaults(fn=_cmd_k3scan, columns=["m", "coefficient", "ratio"])
+class _UsageError(Exception):
+    """A malformed command line, as (command or None, message): exit 2."""
 
-    p = sub.add_parser("gysin", help="flag-bundle Gysin coefficient")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True, type=_parse_ints,
-                   help="partition, e.g. 2,2,1")
-    p.set_defaults(fn=_cmd_gysin, columns=["defect", "coefficient"])
 
-    p = sub.add_parser("pieri", help="Schur decomposition of Sym powers")
-    common(p, numeric=False)
-    p.add_argument("--degrees", required=True, type=_parse_ints, help="e.g. 2,1")
-    p.set_defaults(fn=_cmd_pieri, columns=["multiplicity", "parts"])
+def build_parser():
+    """The command table, {name: (handler, output columns, help line,
+    options)}, in the order help lists them."""
+    fmt = _Option("format", _parse_format, "table", "output format",
+                  metavar="{%s}" % ",".join(_FORMATS))
+    num = _Option("float", None, False,
+                  "12-digit printing; chi also evaluates numerically")
+    pair = _Option("pair", str, _REQUIRED, "JSON pair description",
+                   metavar="FILE")
+    k = _Option("k", _parse_order, _REQUIRED, "jet order")
+    return {
+        "chi": (_cmd_chi, ["chi"], "Euler-characteristic coefficient chi_k",
+                (fmt, num, pair, k)),
+        "leading": (_cmd_leading,
+                    ["k", "chi", "leading_scale", "canonical_positive"],
+                    "chi_k with its Riemann-Roch scale", (fmt, num, pair, k)),
+        "segre": (_cmd_segre, ["segre"],
+                  "total Segre class of the order-k bundle", (fmt, pair, k)),
+        "canonical": (_cmd_canonical, ["class", "positive"],
+                      "order-k canonical class (k may be inf)", (fmt, pair, k)),
+        "table1": (_cmd_table1, _THRESHOLD_COLUMNS,
+                   "minimal ramification orders by degree", (fmt, num)),
+        "minmult": (_cmd_minmult, _THRESHOLD_COLUMNS,
+                    "minimal order for one plane degree", (fmt, num, _Option(
+                        "d", _parse_int, _REQUIRED, "plane curve degree"))),
+        "lines": (_cmd_lines, _THRESHOLD_COLUMNS,
+                  "minimal equal degree for c components", (fmt, num, _Option(
+                      "c", _parse_int, None, "one component count",
+                      excludes="c-max"), _Option(
+                      "c-max", _parse_int, 11, "scan the counts 4..C_MAX",
+                      excludes="c"))),
+        "k3scan": (_cmd_k3scan, ["m", "coefficient", "ratio"],
+                   "trivial-canonical coefficient scan", (fmt, num, _Option(
+                       "m-max", _parse_int, 200, "scan the orders 2..M_MAX"))),
+        "gysin": (_cmd_gysin, ["defect", "coefficient"],
+                  "flag-bundle Gysin coefficient", (fmt, num, _Option(
+                      "n", _parse_int, _REQUIRED, "dimension"), _Option(
+                      "lambda", _parse_ints, _REQUIRED, "partition, e.g. 2,2,1",
+                      dest="lam"))),
+        "pieri": (_cmd_pieri, ["multiplicity", "parts"],
+                  "Schur decomposition of Sym powers", (fmt, _Option(
+                      "degrees", _parse_ints, _REQUIRED, "e.g. 2,1"))),
+        "summands": (_cmd_summands, ["l", "summand", "coefficients"],
+                     "graded jet-bundle summands", (fmt, pair, k, _Option(
+                         "N", _parse_int, _REQUIRED, "weighted degree"))),
+    }
 
-    p = sub.add_parser("summands", help="graded jet-bundle summands")
-    common(p, pair=True, k=True, numeric=False)
-    p.add_argument("--N", type=int, required=True, help="weighted degree")
-    p.set_defaults(fn=_cmd_summands, columns=["l", "summand", "coefficients"])
 
-    return parser
+def _parse(commands, argv):
+    """(command, args) for argv, or (command, None) when help was asked for,
+    command None for the top level.  An option is --name VALUE or
+    --name=VALUE, name any unique prefix; the last of repeated options wins."""
+    if not argv:
+        raise _UsageError(None, "the following arguments are required: command")
+    name = argv[0]
+    if name in ("-h", "--help"):
+        return None, None
+    if name not in commands:
+        raise _UsageError(None, "argument command: invalid choice: %r (choose "
+                          "from %s)" % (name, ", ".join(commands)))
+    options = commands[name][3]
+    by_flag = {o.flag: o for o in options + (_HELP,)}
+    values = {o.dest: o.default for o in options}
+    given = set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, text = arg.partition("=")
+        if flag not in by_flag and flag.startswith("--") and flag != "--":
+            matches = [f for f in by_flag if f.startswith(flag)]
+            if len(matches) > 1:
+                raise _UsageError(name, "ambiguous option: %s could match %s"
+                                  % (flag, ", ".join(matches)))
+            flag = matches[0] if matches else flag
+        option = _HELP if arg == "-h" else by_flag.get(flag)
+        if option is None:
+            raise _UsageError(name, "unrecognized arguments: %s" % arg)
+        if option.convert is None:  # a flag
+            if eq:
+                raise _UsageError(name, "argument %s: ignored explicit "
+                                  "argument %r" % (flag, text))
+            if option is _HELP:
+                return name, None
+            value = True
+        else:
+            if not eq:
+                text = next(rest, None)
+                # a value may start with "-" only as a number, as in --k -3
+                if text is None or text[:1] == "-" and not text[1:2].isdigit():
+                    raise _UsageError(name, "argument %s: expected one "
+                                      "argument" % flag)
+            try:
+                value = option.convert(text)
+            except ValueError as exc:
+                raise _UsageError(name, "argument %s: %s" % (flag, exc)) from None
+        if option.excludes in given:
+            raise _UsageError(name, "argument %s: not allowed with argument "
+                              "%s" % (flag, option.excludes))
+        given.add(flag)
+        values[option.dest] = value
+    missing = [o.flag for o in options if values[o.dest] is _REQUIRED]
+    if missing:
+        raise _UsageError(name, "the following arguments are required: %s"
+                          % ", ".join(missing))
+    return name, SimpleNamespace(**values)
+
+
+def _usage(commands, name):
+    if name is None:
+        return "usage: orbichern [-h] {%s} ...\n" % ",".join(commands)
+    return "usage: orbichern %s [-h] %s\n" % (name, " ".join(
+        o.text if o.default is _REQUIRED else "[%s]" % o.text
+        for o in commands[name][3]))
+
+
+def _help(commands, name):
+    """The usage line, a title and one aligned line per command or option."""
+    if name is None:
+        title = "Characteristic-class invariants of smooth orbifold pairs"
+        heading = "commands"
+        rows = [(command, entry[2]) for command, entry in commands.items()]
+    else:
+        title, heading = commands[name][2], "options"
+        rows = [("-h, --help", _HELP.help)] + [
+            (o.text, o.help if o.default in (None, False, _REQUIRED)
+             else "%s (default %s)" % (o.help, o.default))
+            for o in commands[name][3]]
+    width = max(len(left) for left, _ in rows)
+    return "%s\n%s\n\n%s:\n%s" % (_usage(commands, name), title, heading, "".join(
+        "  %-*s  %s\n" % (width, left, right) for left, right in rows))
 
 
 def run(argv, out=None, err=None) -> int:
@@ -336,17 +444,21 @@ def run(argv, out=None, err=None) -> int:
 
 
 def _dispatch(argv, out, err):
-    parser = build_parser()
-    usage, errors = io.StringIO(), io.StringIO()  # argparse hides write errors
+    commands = build_parser()
     try:
-        with redirect_stdout(usage), redirect_stderr(errors):  # --help, usage
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        out.write(usage.getvalue())
-        err.write(errors.getvalue())
-        return exc.code if exc.code is not None else 0
+        name, args = _parse(commands, argv)
+    except _UsageError as exc:
+        command, message = exc.args
+        err.write("%sorbichern%s: error: %s\n" % (
+            _usage(commands, command), command and " " + command or "",
+            message))
+        return 2
+    if args is None:
+        out.write(_help(commands, name))
+        return 0
+    fn, columns = commands[name][:2]
     try:
-        if "pair" in args:
+        if hasattr(args, "pair"):
             try:
                 args.pair = load_pair(args.pair)
             except (OSError, UnicodeDecodeError) as exc:
@@ -359,7 +471,7 @@ def _dispatch(argv, out, err):
         set_limit = getattr(sys, "set_int_max_str_digits", int)
         set_limit(0)
         try:
-            _emit(args.fn(args), args.columns, args.format, out)
+            _emit(fn(args), columns, args.format, out)
         finally:
             set_limit(limit)
         return 0

@@ -1,3 +1,4 @@
+import ast
 import errno
 import gc
 import io
@@ -458,6 +459,49 @@ def test_exit_code_malformed_argument(argv):
     assert "_parse" not in err  # the expected form, not a private function name
 
 
+COMMAND_HELP = {
+    "chi": "Euler-characteristic coefficient chi_k",
+    "leading": "chi_k with its Riemann-Roch scale",
+    "segre": "total Segre class of the order-k bundle",
+    "canonical": "order-k canonical class (k may be inf)",
+    "table1": "minimal ramification orders by degree",
+    "minmult": "minimal order for one plane degree",
+    "lines": "minimal equal degree for c components",
+    "k3scan": "trivial-canonical coefficient scan",
+    "gysin": "flag-bundle Gysin coefficient",
+    "pieri": "Schur decomposition of Sym powers",
+    "summands": "graded jet-bundle summands",
+}
+
+
+@pytest.mark.parametrize("argv, code, needles", [
+    (["chi", "--pair", "{pair}", "--k=2"], 0, ["111/11449\n"]),
+    (["pieri", "--deg", "2,1", "--format", "csv"], 0,
+     ["multiplicity,parts\n1,3\n1,2 1\n"]),
+    (["chi", "--pair", "{pair}", "--k", "2", "--f"], 2, ["--format", "--float"]),
+    (["minmult", "--d", "11", "--d", "12", "--format", "csv"], 0,
+     ["\n12,107,111/11449,"]),
+    (["chi", "--pair", "{pair}", "--k", "2", "--float=1"], 2, ["--float"]),
+    (["--help"], 0, []),  # every command's help line: see below
+    ([], 2, ["usage:"]),
+    (["bogus"], 2, ["bogus"]),
+    (["minmult", "--d"], 2, ["--d"]),
+    (["minmult", "--d", "-5"], 3, ["degree"]),
+    (["chi", "--pair", "F", "--k", "-inf"], 2, ["--k"]),
+], ids=["eq-value", "prefix", "ambiguous-prefix", "last-repeat-wins",
+        "flag-with-value", "top-help", "no-command", "unknown-command",
+        "missing-value", "negative-value", "inf-is-no-negative-number"])
+def test_kept_syntax(p2_file, argv, code, needles):
+    """The command-line syntax every release keeps, whatever parses it."""
+    got, out, err = invoke([a.replace("{pair}", p2_file) for a in argv])
+    written, other = (out, err) if code == 0 else (err, out)
+    assert (got, other) == (code, "")
+    assert all(needle in written for needle in needles)
+    if argv == ["--help"]:
+        lines = {tuple(line.split(None, 1)) for line in out.splitlines()}
+        assert all((name, help) in lines for name, help in COMMAND_HELP.items())
+
+
 def test_help_goes_to_out():
     code, out, err = invoke(["pieri", "--help"])
     assert code == 0 and "--degrees" in out and err == ""
@@ -500,7 +544,8 @@ def test_output_is_deterministic(p2_file):
 
 
 # Every command pays for what `orbichern.cli` imports; none needs these.
-HEAVY_MODULES = ("dataclasses", "inspect", "concurrent.futures")
+HEAVY_MODULES = ("dataclasses", "inspect", "concurrent.futures", "argparse",
+                 "gettext")
 
 # Commands that read no pair file and write no JSON; they need no `json`.
 JSON_FREE = ("minmult", "gysin", "pieri", "table1")
@@ -557,6 +602,23 @@ def test_commands_do_not_import_heavy_modules(p2_file, argv):
     assert result.returncode == 0
     assert result.stdout
     assert result.stderr == ""
+
+
+def test_bench_setup_code_runs():
+    """bench/run.py times its SETUP_CODE in a fresh interpreter and stops
+    every run with "set-up failed" if that exits non-zero."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    code, = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets]
+             == ["SETUP_CODE"]]
+    assert "build_parser()" in code
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            env={"PYTHONPATH": os.path.join(root, "src")},
+                            timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"")
 
 
 def test_public_names_are_stable():
