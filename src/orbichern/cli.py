@@ -16,7 +16,10 @@ small parser reads.  An option may be shortened to a unique prefix (--deg),
 a value may be a negative number (--k -3), and the last of a repeated option
 wins.  -h or --help writes help to stdout and exits 0.  A usage error writes
 a usage line and "orbichern COMMAND: error: ..." naming the option to
-stderr, and exits 2.
+stderr, and exits 2; a malformed value reads "argument --X: expected FORM,
+got 'TEXT'", FORM from one table keyed by converter.  Exact chi and leading
+refuse k > EXACT_ORDER_LIMIT = 10^4 with one message, and summands, each
+row of which prints all k entries of l, refuses it too; both exit 3.
 Exit codes: 0 success, 1 output could not be written, 2 malformed input,
 3 domain error.
 
@@ -82,11 +85,9 @@ def _emit(rows, columns, fmt, out):
     if len(columns) == 1 and len(rows) == 1:
         out.write(rows[0][0] + "\n")
         return
-    if rows:
-        widths = [max(len(c), max(map(len, cells)))
-                  for c, cells in zip(columns, zip(*rows))]
-    else:
-        widths = map(len, columns)
+    # every handler returns at least one row
+    widths = [max(len(c), max(map(len, cells)))
+              for c, cells in zip(columns, zip(*rows))]
     line = "  ".join("%%-%ds" % w for w in widths)
     out.write((line % tuple(columns)).rstrip() + "\n")
     for row in rows:
@@ -96,54 +97,35 @@ def _emit(rows, columns, fmt, out):
 _FORMATS = ("table", "csv", "json")
 
 
-def _parse_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("expected an integer, got %r" % text) from None
-
-
 def _parse_order(text):
-    if text in _INFINITY_WORDS:
-        return INFINITE_ORDER
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("expected an integer or inf, got %r" % text) from None
+    return INFINITE_ORDER if text in _INFINITY_WORDS else int(text)
 
 
 def _parse_ints(text):
-    try:
-        return [int(p) for p in text.split(",")]  # an empty field is a ValueError
-    except ValueError:
-        raise ValueError("expected comma-separated integers such as 2,2,1, "
-                         "got %r" % text) from None
+    return [int(p) for p in text.split(",")]  # an empty field is a ValueError
 
 
 def _parse_format(text):
     if text not in _FORMATS:
-        raise ValueError("invalid choice: %r (choose from %s)"
-                         % (text, ", ".join(_FORMATS)))
+        raise ValueError
     return text
+
+
+_FORMS = {int: "an integer", _parse_order: "an integer or inf",
+          _parse_ints: "comma-separated integers such as 2,2,1",
+          _parse_format: "one of " + ", ".join(_FORMATS)}
 
 
 # -- subcommand handlers: args (with the pair loaded) -> rows -----------------
 
 def _cmd_chi(args):
-    k = _finite(args.k)
-    if not args.float and k > orbifold.EXACT_ORDER_LIMIT:
-        raise DomainError("exact evaluation is limited to k <= %d; pass "
-                          "--float for numeric evaluation"
-                          % orbifold.EXACT_ORDER_LIMIT)
+    k = _finite(args.k) if args.float else _exact_order("chi", args.k)
     value = orbifold.chi_k(args.pair, k, numeric=args.float)
     return [(_fmt(value, args.float),)]
 
 
 def _cmd_leading(args):
-    k = _finite(args.k)
-    if k > orbifold.EXACT_ORDER_LIMIT:  # leading has no numeric path
-        raise DomainError("leading is exact only, for k <= %d; use chi --float "
-                          "for numeric evaluation" % orbifold.EXACT_ORDER_LIMIT)
+    k = _exact_order("leading", args.k)  # leading has no numeric path
     report = orbifold.chi_leading_term(args.pair, k)
     return [(str(report.k), _fmt(report.chi, args.float),
              _fmt(report.leading_scale, args.float),
@@ -235,6 +217,10 @@ def _cmd_summands(args):
         raise DomainError("k must be >= 1")
     if n_weight < 0:
         raise DomainError("weight must be >= 0")
+    if k > orbifold.EXACT_ORDER_LIMIT:  # before the zeros of every row
+        raise DomainError("summands takes k <= EXACT_ORDER_LIMIT = %d: each "
+                          "row prints all k entries of l"
+                          % orbifold.EXACT_ORDER_LIMIT)
     zeros = " ".join(["0"] * k)  # zeros[2 * (j - 1):] is l_j, ..., l_k = 0
     # "order j: <coefficient profile>" for every order a row can use
     orders = [None] + ["order %d: %s" % (j, " ".join(
@@ -263,6 +249,14 @@ def _finite(k):
     return k
 
 
+def _exact_order(command, k):  # the order of an exact-only evaluation
+    if _finite(k) > orbifold.EXACT_ORDER_LIMIT:
+        raise DomainError("%s is exact only, for k <= %d; chi --float "
+                          "evaluates numerically beyond"
+                          % (command, orbifold.EXACT_ORDER_LIMIT))
+    return k
+
+
 # -- the command table and its parser ----------------------------------------
 
 _REQUIRED = "required"  # the default of an option that must be given
@@ -270,9 +264,9 @@ _REQUIRED = "required"  # the default of an option that must be given
 
 class _Option:
     """One --name option.  convert turns its text into the value, raising
-    ValueError that names the expected form; a flag (convert None) takes no
-    value and is True when given.  text is how usage and help show it, and
-    excludes names the one option it may not be given with."""
+    ValueError if it is malformed (_FORMS names the form); a flag (convert
+    None) takes no value and is True when given.  text is how usage and help
+    show it, and excludes names the one option it may not be given with."""
 
     __slots__ = ("flag", "dest", "convert", "default", "help", "text",
                  "excludes")
@@ -317,19 +311,19 @@ def build_parser():
                    "minimal ramification orders by degree", (fmt, num)),
         "minmult": (_cmd_minmult, _THRESHOLD_COLUMNS,
                     "minimal order for one plane degree", (fmt, num, _Option(
-                        "d", _parse_int, _REQUIRED, "plane curve degree"))),
+                        "d", int, _REQUIRED, "plane curve degree"))),
         "lines": (_cmd_lines, _THRESHOLD_COLUMNS,
                   "minimal equal degree for c components", (fmt, num, _Option(
-                      "c", _parse_int, None, "one component count",
+                      "c", int, None, "one component count",
                       excludes="c-max"), _Option(
-                      "c-max", _parse_int, 11, "scan the counts 4..C_MAX",
+                      "c-max", int, 11, "scan the counts 4..C_MAX",
                       excludes="c"))),
         "k3scan": (_cmd_k3scan, ["m", "coefficient", "ratio"],
                    "trivial-canonical coefficient scan", (fmt, num, _Option(
-                       "m-max", _parse_int, 200, "scan the orders 2..M_MAX"))),
+                       "m-max", int, 200, "scan the orders 2..M_MAX"))),
         "gysin": (_cmd_gysin, ["defect", "coefficient"],
                   "flag-bundle Gysin coefficient", (fmt, num, _Option(
-                      "n", _parse_int, _REQUIRED, "dimension"), _Option(
+                      "n", int, _REQUIRED, "dimension"), _Option(
                       "lambda", _parse_ints, _REQUIRED, "partition, e.g. 2,2,1",
                       dest="lam"))),
         "pieri": (_cmd_pieri, ["multiplicity", "parts"],
@@ -337,7 +331,7 @@ def build_parser():
                       "degrees", _parse_ints, _REQUIRED, "e.g. 2,1"))),
         "summands": (_cmd_summands, ["l", "summand", "coefficients"],
                      "graded jet-bundle summands", (fmt, pair, k, _Option(
-                         "N", _parse_int, _REQUIRED, "weighted degree"))),
+                         "N", int, _REQUIRED, "weighted degree"))),
     }
 
 
@@ -385,8 +379,9 @@ def _parse(commands, argv):
                                       "argument" % flag)
             try:
                 value = option.convert(text)
-            except ValueError as exc:
-                raise _UsageError(name, "argument %s: %s" % (flag, exc)) from None
+            except ValueError:  # _FORMS names the form convert expects
+                raise _UsageError(name, "argument %s: expected %s, got %r" % (
+                    flag, _FORMS[option.convert], text)) from None
         if option.excludes in given:
             raise _UsageError(name, "argument %s: not allowed with argument "
                               "%s" % (flag, option.excludes))

@@ -383,7 +383,8 @@ def _weighted_rows(k, n_weight, last, extend):
         found = memo.get((j, remaining))
         if found is None:
             found = []
-            for lj in range(remaining // j, -1, -1):
+            top = remaining // j  # at j = k only l_k = top can end a row
+            for lj in range(top, -1 if j < k else top - 1, -1):
                 rest = remaining - j * lj
                 if not rest:
                     found.append(last(j, lj))

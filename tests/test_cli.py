@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,29 @@ def test_summands_large_order_small_weight(p2_file, k, n_weight, count):
 def test_summands_domain_errors(p2_file, argv, message):
     code, out, err = invoke(["summands", "--pair", p2_file] + argv)
     assert (code, out, err) == (3, "", message)
+
+
+@pytest.mark.parametrize("k", ["10001", "100000000000000000000"])
+def test_summands_past_exact_order_limit_is_refused_before_any_row(p2_file, k):
+    # each row prints all k entries of l, so the limit comes before any row
+    code, out, err = invoke(["summands", "--pair", p2_file, "--k", k,
+                             "--N", "2"])
+    assert (code, out, err) == (3, "", "error: summands takes k <= "
+                                "EXACT_ORDER_LIMIT = 10000: each row prints "
+                                "all k entries of l\n")  # no traceback
+
+
+def test_summands_last_order_takes_one_value(p2_file):
+    # at the last order only l_k = (weight left) // k can end a row, so one
+    # row of weight 10^12 is one step, not a loop over 10^12 values of l_1
+    start = time.perf_counter()
+    code, out, err = invoke(["summands", "--pair", p2_file, "--k", "1",
+                             "--N", str(10 ** 12), "--format", "csv"])
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "1000000000000,S^1000000000000 Omega(1),order 1: 106/107"]
+    assert elapsed < 1
 
 
 def test_minmult_no_solution():
@@ -502,6 +526,31 @@ def test_kept_syntax(p2_file, argv, code, needles):
         assert all((name, help) in lines for name, help in COMMAND_HELP.items())
 
 
+FORMAT_ERROR = "orbichern %s: error: argument --%s: expected %s, got %r"
+EXACT_ONLY = ("error: %s is exact only, for k <= 10000; chi --float "
+              "evaluates numerically beyond")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["chi", "--pair", "{pair}", "--k", "two"], 2,
+     FORMAT_ERROR % ("chi", "k", "an integer or inf", "two")),
+    (["minmult", "--d", "x"], 2,
+     FORMAT_ERROR % ("minmult", "d", "an integer", "x")),
+    (["gysin", "--n", "3", "--lambda", "1,,1"], 2,
+     FORMAT_ERROR % ("gysin", "lambda",
+                     "comma-separated integers such as 2,2,1", "1,,1")),
+    (["table1", "--format", "xml"], 2,
+     FORMAT_ERROR % ("table1", "format", "one of table, csv, json", "xml")),
+    (["chi", "--pair", "{pair}", "--k", "10001"], 3, EXACT_ONLY % "chi"),
+    (["leading", "--pair", "{pair}", "--k", "20000"], 3,
+     EXACT_ONLY % "leading"),
+], ids=["order", "int", "ints", "format", "chi-exact", "leading-exact"])
+def test_each_refusal_has_one_wording(p2_file, argv, code, line):
+    got, out, err = invoke([a.replace("{pair}", p2_file) for a in argv])
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1] == line
+
+
 def test_help_goes_to_out():
     code, out, err = invoke(["pieri", "--help"])
     assert code == 0 and "--degrees" in out and err == ""
@@ -730,7 +779,7 @@ def test_closed_pipe_before_first_write_exits_1_quietly(buffered):
                     reason="needs a device that refuses every write")
 @pytest.mark.parametrize("argv, buffered", [
     (["table1"], True), (["table1"], False),
-    # argparse swallows a failed write of its own; run() must still see it
+    # help is written to stdout like any output; run() must see it fail
     (["pieri", "--help"], True), (["pieri", "--help"], False),
 ], ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered"])
 def test_full_device_exits_1_with_message(argv, buffered):
