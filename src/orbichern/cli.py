@@ -41,7 +41,7 @@ from .errors import DomainError, OrbichernError, PairFormatError
 from .gysin import gysin_coefficient, jump_data
 from .partitions import _decode, _sym_tensor_keys, _weighted_rows
 from .pairfile import load_pair
-from .ring import INFINITE_ORDER, _INFINITY_WORDS
+from .ring import INFINITE_ORDER, _INFINITY_WORDS, _check_int
 
 _FLOAT_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -175,8 +175,8 @@ def _cmd_minmult(args):
 
 
 def _cmd_lines(args):
-    if args.c is None and args.c_max < 4:  # the scan starts at c = 4
-        raise DomainError("c-max must be an integer >= 4")
+    if args.c is None:  # the scan starts at c = 4
+        _check_int(args.c_max, 4, "c-max")
     cs = [args.c] if args.c is not None else range(4, args.c_max + 1)
     thresholds._check_line_count(cs[-1])  # before the first row's work
     return [_threshold_row(c, thresholds.line_arrangement_threshold(c), args.float)
@@ -184,9 +184,8 @@ def _cmd_lines(args):
 
 
 def _cmd_k3scan(args):
-    if args.m_max < 2:  # as k3_coefficient(m) for the same m
-        raise DomainError("m must be an integer >= 2")
-    if args.m_max > thresholds.K3_SCAN_LIMIT:  # before the first row's work
+    # the first check matches k3_coefficient's; both come before any row
+    if _check_int(args.m_max, 2, "m-max") > thresholds.K3_SCAN_LIMIT:
         raise DomainError("m-max must be <= K3_SCAN_LIMIT = %d: the output "
                           "grows as m-max^2" % thresholds.K3_SCAN_LIMIT)
     return [(str(m), _fmt(cm, args.float),
@@ -212,11 +211,8 @@ def _cmd_pieri(args):
 
 
 def _cmd_summands(args):
-    k, n_weight = _finite(args.k), args.N
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    if n_weight < 0:
-        raise DomainError("weight must be >= 0")
+    k = _check_int(_finite(args.k), 1, "k")
+    n_weight = _check_int(args.N, 0, "N")
     if k > orbifold.EXACT_ORDER_LIMIT:  # before the zeros of every row
         raise DomainError("summands takes k <= EXACT_ORDER_LIMIT = %d: each "
                           "row prints all k entries of l"

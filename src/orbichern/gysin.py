@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .partitions import Partition
-from .ring import _is_int
+from .ring import _check_int
 
 #: Part of the CLI contract (`gysin --n 7` exits 3), and the bound up to which
 #: the tests check the closed form against the full expansion exhaustively.
@@ -48,9 +48,7 @@ def jump_data(n: int, lam) -> JumpData:
     """
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if not _is_int(n) or n < 1:
-        raise DomainError("dimension must be >= 1")
-    if len(lam) > n:
+    if len(lam) > _check_int(n, 1, "dimension n"):
         raise DomainError("partition has more than n parts")
     padded = lam.parts + (0,) * (n - len(lam))
     jumps = tuple(i for i in range(1, n + 1)
@@ -74,7 +72,7 @@ def gysin_coefficient(n: int, lam) -> Fraction:
        the number of standard Young tableaux of shape mu (Macdonald, Symmetric
        Functions and Hall Polynomials, I.7).  f^(1^n) = 1.
     """
-    if n > MAX_DIMENSION:
+    if _check_int(n, 1, "dimension n") > MAX_DIMENSION:
         raise DomainError("dimension capped at %d" % MAX_DIMENSION)
     data = jump_data(n, lam)
     return Fraction(0 if data.defect else data.padded[0] ** n)

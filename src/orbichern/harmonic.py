@@ -20,8 +20,7 @@ from fractions import Fraction
 from itertools import accumulate, compress, islice
 from operator import mul
 
-from .errors import DomainError
-from .ring import _is_int
+from .ring import _check_int
 
 _BLOCK = 32  # primes per block of the kernel
 _CHUNK = 1024  # smooth terms summed at a time
@@ -38,11 +37,8 @@ def harmonic_prefixes(ends, n, exact=True):
     """{J: [H_J^(1), ..., H_J^(n)]} for every J in ends, H_J^(q) = sum_{j<=J}
     j^-q as Fractions (0 at J = 0); with exact=False, an end J >= 64 gets
     H_63^(q) plus `_tail`(64, J, q)'s value, within 1e-23 of H_J^(q)."""
-    if not (_is_int(n) and n >= 1 and all(map(_is_int, ends))):
-        raise DomainError("harmonic sums need integer ends and a power n >= 1")
-    ends = sorted(set(ends))
-    if ends and ends[0] < 0:
-        raise DomainError("harmonic sums need ends >= 0")
+    _check_int(n, 1, "power n")
+    ends = sorted({_check_int(J, 0, "end") for J in ends})
     if exact:
         return {J: _fractions(*_range_sums(1, J, n)) for J in ends}
     head = _fractions(*_range_sums(1, _TAIL_START - 1, n))
@@ -125,10 +121,9 @@ def _merge(left, right):
 
 def harmonic_range(a, b, power=1):
     """Sum of 1/j**power over a <= j <= b, a Fraction; a >= 1, 0 when b < a."""
-    if not (_is_int(a) and _is_int(b) and _is_int(power) and power >= 1):
-        raise DomainError("harmonic ranges need integer ends and a power >= 1")
-    if a < 1:
-        raise DomainError("harmonic ranges start at j >= 1")
+    _check_int(a, 1, "start a")
+    _check_int(b, None, "end b")
+    _check_int(power, 1, "power")
     return _fractions(*_range_sums(a, b, power))[-1] if a <= b else Fraction(0)
 
 
@@ -162,9 +157,7 @@ def diagonal_coefficient(m) -> Fraction:
     multiplicity m in the trivial-canonical closed form; it vanishes at
     m = 4 and first becomes positive at m = 5.
     """
-    if not _is_int(m) or m < 2:
-        raise DomainError("m must be an integer >= 2")
-    return _diagonal(m, *_range_sums(1, m, 2))
+    return _diagonal(_check_int(m, 2, "m"), *_range_sums(1, m, 2))
 
 
 def _diagonal(m, lcm, sums) -> Fraction:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 from .errors import DomainError, GeometryMismatch
 from .harmonic import _diagonal, _fractions, _range_sums, harmonic_prefixes
 from .ring import (INFINITE_ORDER, Geometry, GradedClass, Multiplicity,
-                   _immutable, _is_int, _series)
+                   _check_int, _immutable, _is_int, _series)
 
 #: Largest order for which chi is evaluated in exact arithmetic; the
 #: harmonic-type rationals involved grow super-polynomially beyond this.
@@ -107,10 +107,8 @@ class OrbifoldPair:
 
 
 def _check_order(k):
-    if k == INFINITE_ORDER:
-        return
-    if not _is_int(k) or k < 1:
-        raise DomainError("order k must be a positive integer or infinite")
+    if k != INFINITE_ORDER:
+        _check_int(k, 1, "order k (or inf)")
 
 
 def order_coefficient(mult: Multiplicity, k) -> Fraction:
@@ -233,8 +231,8 @@ def chi_k(pair: OrbifoldPair, k: int, numeric: bool = False):
 
 def leading_scale(n: int, k: int) -> Fraction:
     """1/((k!)^n ((k+1)n - 1)!)."""
-    if not (_is_int(n) and _is_int(k)) or n < 1 or k < 1:
-        raise DomainError("dimension n and order k must be positive integers")
+    _check_int(n, 1, "dimension n")
+    _check_int(k, 1, "order k")
     return Fraction(1, math.factorial(k) ** n * math.factorial((k + 1) * n - 1))
 
 
@@ -277,8 +275,7 @@ def chi_trivial_canonical_closed_form(pair: OrbifoldPair, k: int) -> Fraction:
     geom = pair.geometry
     if geom.dim != 2:
         raise DomainError("closed form is for surfaces")
-    if not _is_int(k) or k < 1:
-        raise DomainError("order k must be a positive integer")
+    _check_int(k, 1, "order k")
     kappa = -geom.tangent_chern.component(1)
     for name in geom.names:
         g = geom.generator(name)

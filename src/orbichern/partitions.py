@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 from .errors import DomainError
 from .orbifold import OrbifoldPair, delta_k
-from .ring import _immutable, _is_int
+from .ring import _check_int, _immutable, _is_int
 
 
 class Partition:
@@ -246,12 +246,8 @@ class SchurExpansion:
         for lam, mult in (terms or {}).items():
             if not isinstance(lam, Partition):
                 lam = Partition(lam)
-            if not _is_int(mult):
-                raise DomainError("multiplicities must be integers, got %r"
-                                  % (mult,))
-            if mult < 0:
-                raise DomainError("multiplicities must be nonnegative")
-            if mult:  # two keys may name one partition: (2, 0) and (2,)
+            # two keys may name one partition: (2, 0) and (2,)
+            if _check_int(mult, 0, "multiplicity"):
                 checked[lam] = checked.get(lam, 0) + int(mult)
         object.__setattr__(self, "terms", MappingProxyType(checked))
 
@@ -285,10 +281,7 @@ def pieri_multiply(expansion: SchurExpansion, m: int) -> SchurExpansion:
     """Multiply by the m-th complete homogeneous functor (a horizontal
     strip of m boxes on every term), multiplicities accumulated exactly;
     keys get a field more than the longest term, fit for the heaviest + m."""
-    if not _is_int(m) or m < 0:
-        raise DomainError("strip size must be a nonnegative integer, got %r"
-                          % (m,))
-    if not m or not expansion.terms:
+    if not _check_int(m, 0, "strip size m") or not expansion.terms:
         return expansion
     fields = max(map(len, expansion.terms)) + 1
     size = (max(lam.weight for lam in expansion.terms) + m).bit_length() + 1
@@ -309,13 +302,8 @@ def _sym_tensor_keys(degrees):
     makes 65,451 (term, strip) pairs instead of 145,618.  The stages of one
     size run one after another and share their strip tables, which are
     dropped before the next size's stages build theirs."""
-    degrees = list(degrees)
-    for a in degrees:
-        if not _is_int(a):
-            raise DomainError("degrees must be integers, got %r" % (a,))
-        if a < 0:
-            raise DomainError("degrees must be nonnegative")
-    degrees = sorted(map(int, degrees), reverse=True)
+    degrees = sorted([int(_check_int(a, 0, "degree")) for a in degrees],
+                     reverse=True)
     fields, size = sum(map(bool, degrees)), sum(degrees).bit_length() + 1
     terms, tables = {0: 1}, {}
     for grow, a in enumerate(degrees, start=1):  # one row more per stage
@@ -343,9 +331,7 @@ def schur_dimension(lam, r: int) -> int:
     by the Weyl product formula; 0 when lam has more than r parts."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
-    if not _is_int(r) or r < 1:
-        raise DomainError("rank must be a positive integer, got %r" % (r,))
-    if len(lam) > r:
+    if len(lam) > _check_int(r, 1, "rank"):
         return 0
     padded = lam.parts + (0,) * (r - len(lam))
     value = Fraction(1)
@@ -361,10 +347,8 @@ def weighted_vectors(k: int, n_weight: int) -> list[tuple]:
 
     The count equals the number of partitions of the weight into parts <= k.
     """
-    if not _is_int(k) or k < 1:
-        raise DomainError("k must be an int >= 1, got %r" % (k,))
-    if not _is_int(n_weight) or n_weight < 0:
-        raise DomainError("weight must be an int >= 0, got %r" % (n_weight,))
+    _check_int(k, 1, "k")
+    _check_int(n_weight, 0, "n_weight")
     return _weighted_rows(k, n_weight, lambda j, lj: (lj,) + (0,) * (k - j),
                           lambda j, lj, tails: [(lj,) + t for t in tails])
 

@@ -9,11 +9,15 @@ ends in a top-degree integral, which the table evaluates.
 
 The three ambient presets used throughout the package are built by
 `projective_space`, `abelian_variety` and `surface_with_invariants`.
+
+`_as_fraction` reads exact rationals, and `_check_int` checks integer
+arguments and words their refusals: the package's one rule for numbers.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -21,10 +25,13 @@ from .errors import DomainError, GeometryMismatch, NonUnitError
 
 
 def _as_fraction(x) -> Fraction:
-    """x as an exact rational; a float or a bool is no exact number."""
+    """x as an exact rational; a float or a bool is no exact number, and
+    text is read only in the form "m" or "p/q" (no exponent, point or _)."""
     if isinstance(x, (bool, float)):
         raise TypeError("exact ring does not accept %ss, got %r"
                         % (type(x).__name__, x))
+    if isinstance(x, str) and not re.fullmatch(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*", x):
+        raise ValueError("not an integer or p/q")
     return Fraction(x)
 
 
@@ -33,9 +40,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_dimension(dim):
-    if not _is_int(dim) or dim < 1:
-        raise DomainError("dimension must be an integer >= 1")
+def _check_int(value, least, name):
+    """value if an integer argument >= least (None: any), else DomainError."""
+    if not _is_int(value) or least is not None and value < least:
+        raise DomainError("%s must be an integer%s, got %r" % (
+            name, "" if least is None else " >= %d" % least, value))
+    return value
 
 
 def _immutable(self, *args):
@@ -145,7 +155,7 @@ class Geometry:
 
     def __init__(self, dim, generators, integrals, kind="custom",
                  tangent_chern=None):
-        _check_dimension(dim)
+        _check_int(dim, 1, "dimension")
         if kind not in ("projective", "abelian", "surface", "custom"):
             raise DomainError("unknown geometry kind %r" % (kind,))
         generators = tuple((name, deg) for name, deg in generators)
@@ -294,10 +304,8 @@ class GradedClass:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not _is_int(k) or k < 0:
-            raise DomainError("only integer powers >= 0 are defined")
         out = self.geometry.one()
-        for _ in range(k):
+        for _ in range(_check_int(k, 0, "power")):
             out = out * self
         return out
 
@@ -316,8 +324,7 @@ class GradedClass:
 
     def component(self, q) -> "GradedClass":
         """The part of exact total degree q (zero class when q > n)."""
-        if not _is_int(q) or q < 0:
-            raise DomainError("component degree must be an integer >= 0")
+        _check_int(q, 0, "component degree")
         geom = self.geometry
         return GradedClass(geom, {e: c for e, c in self.coeffs.items()
                                   if geom.degree[e] == q})
@@ -415,7 +422,7 @@ def _gram_integrals(gram, ngen, what) -> dict:
 def projective_space(n) -> Geometry:
     """Projective n-space: one degree-1 generator h, int h^n = 1,
     c(T) = (1+h)^(n+1) truncated."""
-    _check_dimension(n)  # before range(n + 1) reads it
+    _check_int(n, 1, "dimension")  # before range(n + 1) reads it
     return Geometry(n, [("h", 1)], {(n,): 1}, kind="projective",
                     tangent_chern={(q,): math.comb(n + 1, q) for q in range(n + 1)})
 

@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 from .errors import DomainError
 from .harmonic import _diagonal, _tail, diagonal_coefficient, harmonic_range
 from .orbifold import OrbifoldPair, chi_k
-from .ring import _as_fraction, _is_int, projective_space
+from .ring import _as_fraction, _check_int, projective_space
 
 _P2 = projective_space(2)
 
@@ -177,9 +177,7 @@ def min_multiplicity_for_degree(d: int) -> Optional[ThresholdRecord]:
     the module docstring.  Exact chi_2 is evaluated at a and a - 1 only, and
     each value must match `_CHI2` or AssertionError is raised.
     """
-    if not _is_int(d) or d < 4:
-        raise DomainError("degree must be at least 4")
-    a = _min_order(d)
+    a = _min_order(_check_int(d, 4, "degree d"))
     return None if a is None else _plane_record(d, a)
 
 
@@ -223,9 +221,7 @@ def _chi1_lines(c: int, d: int) -> Fraction:
 
 
 def _check_line_count(c) -> None:
-    if not _is_int(c) or c < 1:
-        raise DomainError("component count must be >= 1")
-    if c > LINE_COUNT_LIMIT:
+    if _check_int(c, 1, "c") > LINE_COUNT_LIMIT:
         raise DomainError("component count must be <= LINE_COUNT_LIMIT = %d: "
                           "the exact chi_1 check is linear in c" % LINE_COUNT_LIMIT)
 

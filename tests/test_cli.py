@@ -228,9 +228,9 @@ def test_summands_large_order_small_weight(p2_file, k, n_weight, count):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--k", "0", "--N", "2"], "error: k must be >= 1\n"),
-    (["--k", "-3", "--N", "0"], "error: k must be >= 1\n"),
-    (["--k", "2", "--N", "-1"], "error: weight must be >= 0\n"),
+    (["--k", "0", "--N", "2"], "error: k must be an integer >= 1, got 0\n"),
+    (["--k", "-3", "--N", "0"], "error: k must be an integer >= 1, got -3\n"),
+    (["--k", "2", "--N", "-1"], "error: N must be an integer >= 0, got -1\n"),
     (["--k", "inf", "--N", "2"], "error: this command needs a finite order\n"),
 ])
 def test_summands_domain_errors(p2_file, argv, message):
@@ -361,7 +361,8 @@ def test_leading_past_exact_limit_points_to_chi_float(p2_file, flags):
 @pytest.mark.parametrize("m_max", ["1", "0", "-5"])
 def test_k3scan_below_first_coefficient_is_domain_error(m_max):
     code, out, err = invoke(["k3scan", "--m-max", m_max])
-    assert (code, out, err) == (3, "", "error: m must be an integer >= 2\n")
+    assert (code, out, err) == (
+        3, "", "error: m-max must be an integer >= 2, got %s\n" % m_max)
     code, out, _ = invoke(["k3scan", "--m-max", "2", "--format", "csv"])
     assert code == 0 and out.splitlines()[1:] == ["2,-1/4,-"]
 
@@ -369,7 +370,8 @@ def test_k3scan_below_first_coefficient_is_domain_error(m_max):
 @pytest.mark.parametrize("c_max", ["3", "-5"])
 def test_lines_scan_below_first_count_is_domain_error(c_max):
     code, out, err = invoke(["lines", "--c-max", c_max])
-    assert (code, out, err) == (3, "", "error: c-max must be an integer >= 4\n")
+    assert (code, out, err) == (
+        3, "", "error: c-max must be an integer >= 4, got %s\n" % c_max)
     code, out, _ = invoke(["lines", "--c-max", "4", "--format", "csv"])
     assert code == 0 and out.splitlines()[1:] == ["4,11,1/2,-4"]
 

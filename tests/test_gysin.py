@@ -105,6 +105,14 @@ def test_gysin_dimension_cap():
         gysin_coefficient(7, (1,) * 7)
 
 
+@pytest.mark.parametrize("n", ["3", None])
+def test_gysin_dimension_is_checked_before_the_cap(n):
+    # the cap's comparison alone raised a bare TypeError
+    with pytest.raises(DomainError, match="^dimension n must be an integer "
+                                          ">= 1, got %r$" % (n,)):
+        gysin_coefficient(n, ())
+
+
 # -- the closed form against the full expansion -------------------------------
 
 def shifted_target_degree(n, lam):

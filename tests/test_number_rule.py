@@ -2,11 +2,13 @@
 
 Every public entry point that takes an order, a count or an exact value
 decides this through `ring._as_fraction` (rational values: TypeError) and
-`ring._is_int` (integer arguments: DomainError).  Each argument below is
-given True, an int subclass equal to 1, and a float, which the entry point
-would otherwise compute with or fail on deep inside with a bare TypeError."""
+`ring._check_int` (integer arguments: DomainError, in one wording).  Each
+argument below is given True, an int subclass equal to 1, and a float, which
+the entry point would otherwise compute with or fail on deep inside with a
+bare TypeError."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -73,8 +75,21 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_floats_and_bools_are_not_exact_numbers(name, kind):
     call, inexact, error = ENTRY_POINTS[name]
-    with pytest.raises(error):
-        call(True if kind == "bool" else inexact)
+    value = True if kind == "bool" else inexact
+    with pytest.raises(error) as info:
+        call(value)
+    if error is DomainError:  # named by the argument, ending in its repr
+        assert re.fullmatch(r"\S.* must be an integer( >= -?\d+)?, got %s"
+                            % re.escape(repr(value)), str(info.value))
+
+
+def test_integer_refusals_are_worded_only_in_ring():
+    """`ring._check_int` words every refusal of an integer argument's type
+    or lower bound; no other module spells that message."""
+    sources = sorted((ROOT / "src" / "orbichern").glob("*.py"))
+    worded = [path.name for path in sources
+              if "must be an integer" in path.read_text(encoding="utf-8")]
+    assert worded == ["ring.py"]
 
 
 def _bool_checks(tree):

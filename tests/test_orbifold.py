@@ -70,8 +70,8 @@ def test_any_infinite_float_is_the_infinite_order():
 
 @pytest.mark.parametrize("k", [-math.inf, math.nan])
 def test_negative_infinity_and_nan_are_no_orders(k):
-    with pytest.raises(DomainError, match="order k must be a positive "
-                                          "integer or infinite"):
+    with pytest.raises(DomainError, match=r"^order k \(or inf\) must be an "
+                                          r"integer >= 1, got %r$" % k):
         delta_k(plane_pair((1, 2)), k)
 
 

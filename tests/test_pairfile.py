@@ -183,6 +183,28 @@ MALFORMED = [
     (README_PAIRS[0], ("components", 0, "degree"), True,
      "components[0].degree"),
     (README_PAIRS[0], ("components", 0, "mult"), True, "components[0].mult"),
+    (README_PAIRS[0], ("geometry", "n"), 5, "geometry.n"),  # P2 has n = 2
+    # rational text is a sign, digits and /digits: Fraction also reads
+    # "1e3000000", and chi on it ran for minutes
+    (README_PAIRS[2], ("geometry", "selfint"), "1e5", "geometry.selfint"),
+    (README_PAIRS[2], ("geometry", "selfint"), "0.5", "geometry.selfint"),
+    (README_PAIRS[2], ("geometry", "selfint"), "1_000", "geometry.selfint"),
+    (SURFACE, ("geometry", "c2"), "2.4e1", "geometry.c2"),
+    (README_PAIRS[0], ("components", 0, "mult"), "1e5", "components[0].mult"),
+    # a field the grammar does not name: each was silently ignored, and a
+    # misspelled "dd" on the surface read as zeros
+    (README_PAIRS[0], ("component",), [], "component: unknown field"),
+    (SURFACE, ("geometry", "DD"), [[6]], "geometry.DD: unknown field"),
+    (README_PAIRS[2], ("geometry", "pairing"), "garbage",
+     "geometry.pairing: unknown field"),
+    (ABELIAN_PAIRING, ("geometry", "selfint"), 6,
+     "geometry.generators: unknown field"),
+    (ABELIAN_PAIRING, ("components", 0, "degree"), 2,
+     "components[0].degree: unknown field"),
+    (README_PAIRS[0], ("components", 0, "class"), "h",
+     "components[0].class: unknown field"),
+    (README_PAIRS[1], ("geometry", "selfint"), 6,
+     "geometry.selfint: unknown field"),
 ]
 
 
@@ -193,6 +215,36 @@ def test_malformed_field_exits_2_naming_it(tmp_path, base, path, value,
     code, err = _chi_exit(tmp_path, _mutated(base, path, value))
     assert code == 2
     assert field in err
+
+
+@pytest.mark.parametrize("preset", [{"preset": "Pn"},
+                                    {"preset": "abelian", "selfint": 6}],
+                         ids=["Pn", "abelian"])
+def test_dimension_past_limit_exits_3_before_any_geometry(tmp_path, preset,
+                                                         monkeypatch):
+    import orbichern.pairfile as pairfile
+    from orbichern.pairfile import DIMENSION_LIMIT
+    built, real = [], (pairfile.projective_space, pairfile.abelian_variety)
+    monkeypatch.setattr(pairfile, "projective_space",
+                        lambda n: built.append(n) or real[0](n))
+    monkeypatch.setattr(pairfile, "abelian_variety",
+                        lambda n, **kw: built.append(n) or real[1](n, **kw))
+    component = {"mult": "inf"}
+    if preset["preset"] == "Pn":
+        component["degree"] = 1
+    data = {"geometry": dict(preset, n=DIMENSION_LIMIT + 1),
+            "components": [component]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["chi", "--pair", str(path), "--k", "2"], out=out, err=err) == 3
+    assert out.getvalue() == "" and err.getvalue() == (
+        "error: geometry.n must be <= DIMENSION_LIMIT = 12: exact chi grows "
+        "steeply with n\n")
+    assert built == []
+    data["geometry"]["n"] = DIMENSION_LIMIT
+    assert _chi_exit(tmp_path, data) == (0, "")
+    assert built == [DIMENSION_LIMIT]
 
 
 def test_asymmetric_pairing_stays_a_domain_error(tmp_path):
@@ -218,6 +270,44 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (i,))
 
 
+#: Every command that reads a pair file, each at a cheap order.
+PAIR_COMMANDS = [["chi", "--k", "2"], ["leading", "--k", "2"],
+                 ["segre", "--k", "2"], ["canonical", "--k", "2"],
+                 ["summands", "--k", "2", "--N", "3"]]
+
+
+def _pair_runs(tmp_path, data):
+    """(exit code, stderr) of each of PAIR_COMMANDS on data, each checked:
+    exit 0, 2 or 3, no traceback, and no output unless 0."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(data))
+    runs = []
+    for command in PAIR_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        code = run(command[:1] + ["--pair", str(path)] + command[1:],
+                   out=out, err=err)
+        assert code in (0, 2, 3), (command, data, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), (command, data)
+        assert code == 0 or out.getvalue() == "", (command, data)
+        runs.append((code, err.getvalue()))
+    return runs
+
+
+def _misspelled(data):
+    """(copy of data, where the field is named) for each field of each
+    object in data, with a misspelled copy of that field inserted."""
+    objects = [((), ""), (("geometry",), "geometry.")] + [
+        (("components", i), "components[%d]." % i)
+        for i in range(len(data["components"]))]
+    for path, where in objects:
+        node = data
+        for key in path:
+            node = node[key]
+        for name, value in node.items():
+            typo = name[:-1] or name.upper()  # "component", "N", "mul"
+            yield _mutated(data, path + (typo,), value), where + typo
+
+
 def test_single_field_mutations_never_crash(tmp_path):
     rng = random.Random(4300)
     codes = []
@@ -227,15 +317,22 @@ def test_single_field_mutations_never_crash(tmp_path):
         delete = isinstance(path[-1], str) and rng.random() < 0.2
         data = _mutated(base, path,
                         DELETE if delete else rng.choice(FUZZ_VALUES))
-        code, err = _chi_exit(tmp_path, data)
-        assert code in (0, 2, 3), (data, code, err)
-        codes.append(code)
+        runs = _pair_runs(tmp_path, data)
+        code = runs[0][0]  # chi's
+        codes += [run_code for run_code, _ in runs]
         if code == 0:
             pair = parse_pair(json.dumps(data))
             again = parse_pair(serialize_pair(pair))
             assert serialize_pair(again) == serialize_pair(pair)
             assert chi_k(again, 2) == chi_k(pair, 2)
     assert {0, 2, 3} <= set(codes)
+    typos = 0
+    for base in README_PAIRS:
+        for data, field in _misspelled(base):
+            for code, err in _pair_runs(tmp_path, data):
+                assert (code, err) == (2, "error: %s: unknown field\n" % field)
+            typos += 1
+    assert typos == 37
 
 
 # -- the serialized text ----------------------------------------------------
